@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-compare benchall table figures net examples fuzz lint detlint vet serve serve-test dataflow-test clean
+.PHONY: all build test race bench bench-compare benchall table figures net examples fuzz lint detlint vet serve serve-test clean
 
 # Pinned linter versions, fetched on demand with `go run` so the repo adds
 # no module dependencies. Bump deliberately; CI uses the same pins.
@@ -10,15 +10,13 @@ STATICCHECK := honnef.co/go/tools/cmd/staticcheck@2025.1.1
 GOVULNCHECK := golang.org/x/vuln/cmd/govulncheck@v1.1.4
 
 # Step-engine benchmark sweep recorded in BENCH_step_engine.json.
-# BENCH_BACKEND selects the step-engine backend (interp|fused) and
-# BENCH_SCHED the step scheduler (lockstep|dataflow) for the whole sweep via
-# the TCFPRAM_BACKEND/TCFPRAM_SCHED env vars, keeping benchmark names
-# identical across recorded labels so `benchjson -compare` lines them up.
+# BENCH_BACKEND selects the step-engine backend (interp|fused) for the whole
+# sweep via the TCFPRAM_BACKEND env var, keeping benchmark names identical
+# across recorded labels so `benchjson -compare` lines them up.
 BENCH_PATTERN ?= BenchmarkFig7|BenchmarkS4a_VectorAdd|BenchmarkEngine_Step
 BENCH_LABEL   ?= local
 BENCH_TIME    ?= 400x
 BENCH_BACKEND ?= interp
-BENCH_SCHED   ?= lockstep
 
 all: build test
 
@@ -36,7 +34,7 @@ race:
 # the labelled result into BENCH_step_engine.json for before/after diffing.
 # The steady-state step loop is gated at 0 allocs/op.
 bench:
-	TCFPRAM_BACKEND=$(BENCH_BACKEND) TCFPRAM_SCHED=$(BENCH_SCHED) $(GO) test -bench '$(BENCH_PATTERN)' -benchmem -benchtime $(BENCH_TIME) -run '^$$' . \
+	TCFPRAM_BACKEND=$(BENCH_BACKEND) $(GO) test -bench '$(BENCH_PATTERN)' -benchmem -benchtime $(BENCH_TIME) -run '^$$' . \
 		| $(GO) run ./cmd/benchjson -label $(BENCH_LABEL) -o BENCH_step_engine.json \
 			-require-zero-alloc 'BenchmarkEngine_StepLoop/(interp|fused)'
 
@@ -74,6 +72,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./internal/lang/
 	$(GO) test -fuzz=FuzzAnalyze -fuzztime=30s ./internal/analysis/
 	$(GO) test -fuzz=FuzzCostAnalyze -fuzztime=30s ./internal/analysis/
+	$(GO) test -fuzz=FuzzRestore -fuzztime=30s ./internal/machine/
 
 # lint runs the pinned static checkers on top of go vet (requires network
 # access the first time, to fetch the pinned tools), then the in-tree
@@ -106,12 +105,6 @@ serve:
 
 serve-test:
 	$(GO) test -race -count=1 ./internal/serve ./cmd/tcfserve ./cmd/tcfrun
-
-# dataflow-test runs the dataflow-vs-lockstep differential suite race-enabled
-# (corpus, chaos, stacked concurrency, checkpoint cross-restore, fuzz seeds)
-# — the same gate CI's dataflow-differential job enforces.
-dataflow-test:
-	$(GO) test -race -count=1 -run 'Dataflow|Sched' ./internal/chaos ./internal/machine ./internal/serve ./cmd/tcfrun
 
 clean:
 	rm -f test_output.txt bench_output.txt

@@ -31,24 +31,10 @@ var benchBackend = func() machine.Backend {
 	return b
 }()
 
-// benchSched is the step scheduler the whole benchmark run uses, selected by
-// the TCFPRAM_SCHED environment variable ("lockstep" when unset, "dataflow"
-// for the group run-ahead scheduler) — the same keep-names-identical pattern
-// as TCFPRAM_BACKEND, so scheduler runs line up in `benchjson -compare`.
-var benchSched = func() machine.Sched {
-	s, err := machine.ParseSched(os.Getenv("TCFPRAM_SCHED"))
-	if err != nil {
-		panic("TCFPRAM_SCHED: " + err.Error())
-	}
-	return s
-}()
-
-// withBackend layers the selected backend and scheduler under a benchmark's
-// own tweak.
+// withBackend layers the selected backend under a benchmark's own tweak.
 func withBackend(tweak func(*machine.Config)) func(*machine.Config) {
 	return func(c *machine.Config) {
 		c.Backend = benchBackend
-		c.Sched = benchSched
 		if tweak != nil {
 			tweak(c)
 		}
@@ -310,8 +296,8 @@ func BenchmarkS4h_Allocation(b *testing.B) {
 // where scaling is actually possible: eight independent TCFs spread across
 // the groups, each looping over its own memory slice (the old single-flow
 // vector add occupied one group, so the parallel engine had nothing to
-// overlap). The serial sub-benchmark is the baseline; the engine variants
-// report their serial-vs-X speedup as a metric.
+// overlap). The serial sub-benchmark is the baseline; the parallel one
+// reports its speedup over serial as a metric.
 func BenchmarkEngine_StepThroughput(b *testing.B) {
 	w := workload.GroupParallel(8, 512, 100)
 	var serialNs float64
@@ -321,7 +307,6 @@ func BenchmarkEngine_StepThroughput(b *testing.B) {
 	}{
 		{"serial", nil},
 		{"parallel", func(c *machine.Config) { c.Parallel = true }},
-		{"dataflow", func(c *machine.Config) { c.Sched = machine.SchedDataflow }},
 	}
 	for _, tc := range cases {
 		tc := tc

@@ -10,11 +10,8 @@
 //
 // Flags select the variant (-variant tcf|balanced|xmt|esm|pram-numa|simd),
 // the step-engine backend (-backend interp|fused; fused runs precompiled
-// instruction-run closures, bit-identical to the interpreter), the step
-// scheduler (-sched lockstep|dataflow; dataflow lets independent TCF groups
-// run ahead of each other, synchronizing only at shared-memory dependency
-// edges, bit-identical to lockstep), machine shape (-groups, -procs), and
-// diagnostics (-trace, -gantt, -dis).
+// instruction-run closures, bit-identical to the interpreter), machine
+// shape (-groups, -procs), and diagnostics (-trace, -gantt, -dis).
 // -vet statically analyzes a tcf-e program before running it (errors abort
 // the run); -predict runs the static cost analyzer and prints the predicted
 // bounds next to the measured statistics (with per-field error) after the
@@ -58,7 +55,6 @@ func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("tcfrun", flag.ContinueOnError)
 	variantName := fs.String("variant", "tcf", "execution variant: tcf|balanced|xmt|esm|pram-numa|simd (or full names)")
 	backendName := fs.String("backend", "", "step-engine backend: interp|fused (default interp)")
-	schedName := fs.String("sched", "", "step scheduler: lockstep|dataflow (default lockstep)")
 	groups := fs.Int("groups", 0, "processor groups P (0 = variant default)")
 	procs := fs.Int("procs", 0, "TCF processor slots per group Tp (0 = default)")
 	bound := fs.Int("bound", 0, "balanced variant operation bound b (0 = default)")
@@ -109,11 +105,6 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 	cfg.Backend = backend
-	sched, err := tcfpram.ParseSched(*schedName)
-	if err != nil {
-		return err
-	}
-	cfg.Sched = sched
 	if *groups > 0 {
 		cfg.Groups = *groups
 	}
@@ -254,7 +245,7 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintf(out, "mem[%d:%d] = %v\n", addr, addr+int64(n), m.Words(addr, n))
 	}
 	if *showStages {
-		fmt.Fprintf(out, "backend=%s sched=%s\n%s\n", backend, sched, m.StageTable())
+		fmt.Fprintf(out, "backend=%s\n%s\n", backend, m.StageTable())
 	}
 	if *showTrace {
 		fmt.Fprintln(out, m.Timeline())

@@ -66,11 +66,11 @@ func TestVariantSelection(t *testing.T) {
 func TestTraceAndDisFlags(t *testing.T) {
 	path := write(t, "p.te", "func main() { #4; thick int v = tid; print(radd(v)); }")
 	var out bytes.Buffer
-	if err := run([]string{"-trace", "-gantt", "-dis", path}, &out); err != nil {
+	if err := run([]string{"-trace", "-gantt", "-dis", "-stages", path}, &out); err != nil {
 		t.Fatal(err)
 	}
 	s := out.String()
-	for _, want := range []string{"SETTHICK", "step", "G0:"} {
+	for _, want := range []string{"SETTHICK", "step", "G0:", "backend=interp\n"} {
 		if !strings.Contains(s, want) {
 			t.Fatalf("missing %q in:\n%s", want, s)
 		}
@@ -264,42 +264,6 @@ func main() {
 	}
 	if oracle.String() != out.String() {
 		t.Fatalf("resumed output diverged:\noracle:\n%s\nresumed:\n%s", oracle.String(), out.String())
-	}
-}
-
-// TestSchedFlag: -sched dataflow produces output identical to the lockstep
-// default (the scheduler is result-neutral), shows up in the -stages header,
-// and rejects unknown names.
-func TestSchedFlag(t *testing.T) {
-	path := write(t, "p.te", `
-shared int c[8] @ 300;
-func main() {
-    #8;
-    c[tid] = tid * 3;
-    print(radd(c[tid]));
-}
-`)
-	var lock, df bytes.Buffer
-	if err := run([]string{"-mem", "300:8", path}, &lock); err != nil {
-		t.Fatal(err)
-	}
-	if err := run([]string{"-sched", "dataflow", "-mem", "300:8", path}, &df); err != nil {
-		t.Fatal(err)
-	}
-	if lock.String() != df.String() {
-		t.Fatalf("-sched dataflow changed results:\nlockstep:\n%s\ndataflow:\n%s", lock.String(), df.String())
-	}
-
-	var out bytes.Buffer
-	if err := run([]string{"-sched", "dataflow", "-stages", path}, &out); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "sched=dataflow") {
-		t.Fatalf("-stages header missing sched:\n%s", out.String())
-	}
-
-	if err := run([]string{"-sched", "bogus", path}, &out); err == nil {
-		t.Fatal("expected error for unknown -sched")
 	}
 }
 

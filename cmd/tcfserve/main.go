@@ -80,7 +80,6 @@ func run(args []string, logw io.Writer, onReady func(addr string)) error {
 	maxSourceBytes := fs.Int("max-source-bytes", 0, "default tenant program-source cap (0 = default 64KiB)")
 	maxInFlight := fs.Int("max-inflight", 0, "default tenant concurrent-run cap (0 = default 4)")
 	backend := fs.String("backend", "", "default tenant step-engine backend: interp|fused (empty = interp)")
-	sched := fs.String("sched", "", "default tenant step scheduler: lockstep|dataflow (empty = lockstep)")
 	recoverDir := fs.String("recover-dir", "", "enable crash recovery: write-ahead run journal and checkpoints live here")
 	ckptEvery := fs.Int64("checkpoint-every", 0, "steps between mid-run machine checkpoints (0 = default 256; needs -recover-dir)")
 	quiet := fs.Bool("quiet", false, "suppress the operational log")
@@ -91,9 +90,6 @@ func run(args []string, logw io.Writer, onReady func(addr string)) error {
 		return fmt.Errorf("unexpected arguments %q", fs.Args())
 	}
 	if _, err := machine.ParseBackend(*backend); err != nil {
-		return err
-	}
-	if _, err := machine.ParseSched(*sched); err != nil {
 		return err
 	}
 
@@ -120,7 +116,6 @@ func run(args []string, logw io.Writer, onReady func(addr string)) error {
 			MaxSourceBytes: *maxSourceBytes,
 			MaxInFlight:    *maxInFlight,
 			Backend:        *backend,
-			Sched:          *sched,
 		},
 		RecoverDir:           *recoverDir,
 		CheckpointEverySteps: *ckptEvery,

@@ -15,9 +15,9 @@
 // fails on *new* findings rather than on known ones.
 //
 // With -cost each unit that compiles is also run through the static cost
-// analyzer (predicted steps, cycles, memory footprint and the
-// dataflow-schedulability verdict). With -json both findings and cost
-// reports are emitted as one machine-readable JSON document.
+// analyzer (predicted steps, cycles and memory footprint). With -json both
+// findings and cost reports are emitted as one machine-readable JSON
+// document.
 //
 // Exit status is stable for scripting: 0 when clean, 1 when findings were
 // reported (or -expect mismatched), 2 on usage errors (bad flags, bad

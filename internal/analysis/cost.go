@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"tcfpram/internal/codegen"
@@ -185,16 +184,6 @@ type CostReport struct {
 	FootprintPages Bound   `json:"footprint_pages"`
 	WordsPerModule []int64 `json:"words_per_module,omitempty"`
 	WriteConflicts Bound   `json:"write_conflicts"`
-
-	// GroupReadPages/GroupWritePages are the shared pages each group's
-	// flows touched; IndependentGroupPairs lists group pairs whose page
-	// sets never alias (writes of one never meet reads or writes of the
-	// other) — the static proof the dataflow scheduler needs that
-	// run-ahead between the pair can never be ordered by a frontier wait.
-	GroupReadPages        [][]int64 `json:"group_read_pages,omitempty"`
-	GroupWritePages       [][]int64 `json:"group_write_pages,omitempty"`
-	IndependentGroupPairs [][2]int  `json:"independent_group_pairs,omitempty"`
-	ScheduleNote          string    `json:"schedule_note,omitempty"`
 }
 
 // Cost predicts the execution cost of a compiled program under params.
@@ -363,24 +352,5 @@ func (r *CostReport) Render() string {
 	if len(r.WordsPerModule) > 0 {
 		fmt.Fprintf(&b, "  %-18s %v\n", "refs-per-module", r.WordsPerModule)
 	}
-	if len(r.IndependentGroupPairs) > 0 {
-		fmt.Fprintf(&b, "  %-18s %v\n", "independent-pairs", r.IndependentGroupPairs)
-	}
-	if r.ScheduleNote != "" {
-		fmt.Fprintf(&b, "  %-18s %s\n", "schedule", r.ScheduleNote)
-	}
 	return b.String()
-}
-
-// pagesOf flattens a page set into a sorted slice.
-func pagesOf(set map[int64]struct{}) []int64 {
-	if len(set) == 0 {
-		return nil
-	}
-	out := make([]int64, 0, len(set))
-	for p := range set {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

@@ -1,12 +1,14 @@
 // Validation gate for the static cost analyzer: over the whole tcf-e
-// corpus, on every variant the abstract executor supports, across BOTH
-// backends (interp, fused) and BOTH schedulers (lockstep, dataflow), a
-// resolved prediction must equal the measured Stats field for field.
+// corpus, on every variant, across BOTH backends (interp, fused) and BOTH
+// lane modes (serial, lane-parallel), a resolved prediction must equal the
+// measured Stats field for field.
 //
 // The documented tolerance band is therefore ZERO for resolved
 // predictions: the analyzer mirrors the engine's cost equations exactly,
 // and any drift between the two is a bug in one of them. Unresolved
-// predictions (analysis budget stops) must still be sound lower bounds.
+// predictions (analysis budget stops, and the Balanced and
+// MultiInstruction step shapes the abstract executor does not model) must
+// still be sound lower bounds.
 package analysis_test
 
 import (
@@ -21,16 +23,6 @@ import (
 	"tcfpram/internal/machine"
 	"tcfpram/internal/variant"
 )
-
-// supportedKinds are the lockstep single-instruction step shapes the
-// abstract executor models (cost.go falls back to static bounds for
-// Balanced and MultiInstruction).
-var supportedKinds = []variant.Kind{
-	variant.SingleInstruction,
-	variant.SingleOperation,
-	variant.ConfigurableSingleOperation,
-	variant.FixedThickness,
-}
 
 func corpusFiles(tb testing.TB) []string {
 	tb.Helper()
@@ -59,11 +51,13 @@ func compileCorpus(tb testing.TB, path string) *codegen.Compiled {
 
 // measure runs the program on the real engine and returns the measured
 // stats plus the run error (capability rejections, runtime errors).
-func measure(tb testing.TB, c *codegen.Compiled, kind variant.Kind, backend machine.Backend, sched machine.Sched) (*machine.Stats, error) {
+func measure(tb testing.TB, c *codegen.Compiled, kind variant.Kind, backend machine.Backend, tweak func(*machine.Config)) (*machine.Stats, error) {
 	tb.Helper()
 	cfg := machine.Default(kind)
 	cfg.Backend = backend
-	cfg.Sched = sched
+	if tweak != nil {
+		tweak(&cfg)
+	}
 	m, err := machine.New(cfg)
 	if err != nil {
 		tb.Fatal(err)
@@ -124,19 +118,35 @@ func reportBounds(rep *analysis.CostReport) []analysis.Bound {
 	}
 }
 
+// laneModes are the lockstep engine's two ways of executing a step: lanes
+// run serially, or thick instructions are chunked across goroutines (the
+// threshold of 1 makes chunking engage even on the corpus's small flows).
+// Lane chunking must not move any predicted Stats field.
+var laneModes = []struct {
+	name  string
+	tweak func(*machine.Config)
+}{
+	{"lockstep", nil},
+	{"lockstep-parallel", func(c *machine.Config) {
+		c.Parallel = true
+		c.LaneParallelThreshold = 1
+	}},
+}
+
 // TestCostPredictionsMatchMeasuredStats is the corpus validation gate.
 func TestCostPredictionsMatchMeasuredStats(t *testing.T) {
 	backends := []machine.Backend{machine.BackendInterp, machine.BackendFused}
-	scheds := []machine.Sched{machine.SchedLockstep, machine.SchedDataflow}
+	var laneChunks int64
 	for _, path := range corpusFiles(t) {
 		c := compileCorpus(t, path)
-		for _, kind := range supportedKinds {
+		for _, kind := range variant.Kinds() {
 			rep := analysis.Cost(c, analysis.DefaultCostParams(kind))
 			for _, backend := range backends {
-				for _, sched := range scheds {
-					name := fmt.Sprintf("%s/%s/%v/%v", filepath.Base(path), kind, backend, sched)
+				for _, mode := range laneModes {
+					name := fmt.Sprintf("%s/%s/%v/%s", filepath.Base(path), kind, backend, mode.name)
 					t.Run(name, func(t *testing.T) {
-						st, runErr := measure(t, c, kind, backend, sched)
+						st, runErr := measure(t, c, kind, backend, mode.tweak)
+						laneChunks += st.LaneChunks
 						if runErr != nil {
 							// The engine rejected or aborted the program; the
 							// analyzer must have predicted an abnormal stop
@@ -172,6 +182,9 @@ func TestCostPredictionsMatchMeasuredStats(t *testing.T) {
 			}
 		}
 	}
+	if laneChunks == 0 {
+		t.Fatal("lane chunking never engaged in lockstep-parallel mode; the lane axis proved nothing")
+	}
 }
 
 // TestCostResolvesCorpus pins that the analyzer fully resolves the entire
@@ -183,41 +196,6 @@ func TestCostResolvesCorpus(t *testing.T) {
 		rep := analysis.Cost(c, analysis.DefaultCostParams(variant.SingleInstruction))
 		if !rep.Resolved {
 			t.Errorf("%s: not resolved: %s", filepath.Base(path), rep.Reason)
-		}
-	}
-}
-
-// TestCostIndependentPairsSafe cross-checks the dataflow-schedulability
-// verdict: for every corpus program, a pair reported independent must have
-// disjoint write-vs-read/write page sets in the report itself.
-func TestCostIndependentPairsSafe(t *testing.T) {
-	for _, path := range corpusFiles(t) {
-		c := compileCorpus(t, path)
-		rep := analysis.Cost(c, analysis.DefaultCostParams(variant.SingleInstruction))
-		if !rep.Resolved {
-			continue
-		}
-		pageSet := func(ps []int64) map[int64]bool {
-			m := make(map[int64]bool, len(ps))
-			for _, p := range ps {
-				m[p] = true
-			}
-			return m
-		}
-		for _, pair := range rep.IndependentGroupPairs {
-			i, j := pair[0], pair[1]
-			wi, wj := pageSet(rep.GroupWritePages[i]), pageSet(rep.GroupWritePages[j])
-			ri, rj := pageSet(rep.GroupReadPages[i]), pageSet(rep.GroupReadPages[j])
-			for p := range wi {
-				if rj[p] || wj[p] {
-					t.Errorf("%s: pair %v aliases page %d", filepath.Base(path), pair, p)
-				}
-			}
-			for p := range wj {
-				if ri[p] {
-					t.Errorf("%s: pair %v aliases page %d", filepath.Base(path), pair, p)
-				}
-			}
 		}
 	}
 }

@@ -216,8 +216,6 @@ type absGroup struct {
 	index             int
 	resident, pending []*absFlow
 	local             absMem
-	readPages         map[int64]struct{}
-	writePages        map[int64]struct{}
 	cnt               costCounters
 	writes            []absWrite
 	contribs          []absContrib
@@ -285,7 +283,10 @@ type costExec struct {
 
 	conflicts     int64
 	conflictsLost bool
-	footLost      bool
+	// pages is the set of shared pages any flow touched (the footprint);
+	// footLost marks it incomplete.
+	pages    map[int64]struct{}
+	footLost bool
 
 	concCap  int
 	laneLeft int64
@@ -299,6 +300,7 @@ func newCostExec(c *codegen.Compiled, p CostParams, pol variant.Policy, _ varian
 		pol:      pol,
 		props:    pol.Props(),
 		nmods:    p.Groups,
+		pages:    make(map[int64]struct{}),
 		concCap:  p.MaxConcreteLanes,
 		laneLeft: p.MaxLaneWork,
 	}
@@ -315,11 +317,9 @@ func newCostExec(c *codegen.Compiled, p CostParams, pol variant.Policy, _ varian
 	ex.groups = make([]*absGroup, p.Groups)
 	for gi := range ex.groups {
 		ex.groups[gi] = &absGroup{
-			index:      gi,
-			local:      newAbsMem(int64(p.LocalWords), p.MaxTrackedWords),
-			readPages:  make(map[int64]struct{}),
-			writePages: make(map[int64]struct{}),
-			fwd:        make(map[int64]aval),
+			index: gi,
+			local: newAbsMem(int64(p.LocalWords), p.MaxTrackedWords),
+			fwd:   make(map[int64]aval),
 		}
 	}
 	return ex
@@ -741,22 +741,17 @@ func (ex *costExec) noteSharedBulk(g *absGroup, base, stride int64, w int, numa 
 	}
 }
 
-func (ex *costExec) notePage(g *absGroup, addr int64, write bool) {
+func (ex *costExec) notePage(addr int64) {
 	if addr < 0 || addr >= int64(ex.p.SharedWords) {
 		return
 	}
-	pg := addr >> costPageShift
-	if write {
-		g.writePages[pg] = struct{}{}
-	} else {
-		g.readPages[pg] = struct{}{}
-	}
+	ex.pages[addr>>costPageShift] = struct{}{}
 }
 
 // notePageBulk records the page span of a non-wrapping affine sequence.
 // Strides wider than a page (or absurd spans) give up on footprint
 // exactness rather than enumerating.
-func (ex *costExec) notePageBulk(g *absGroup, base, stride int64, w int, write bool) {
+func (ex *costExec) notePageBulk(base, stride int64, w int) {
 	span, ok := mulNoWrap(stride, int64(w-1))
 	if !ok {
 		ex.footLost = true
@@ -794,11 +789,7 @@ func (ex *costExec) notePageBulk(g *absGroup, base, stride int64, w int, write b
 		return
 	}
 	for pg := loPg; pg <= hiPg; pg++ {
-		if write {
-			g.writePages[pg] = struct{}{}
-		} else {
-			g.readPages[pg] = struct{}{}
-		}
+		ex.pages[pg] = struct{}{}
 	}
 }
 
@@ -827,7 +818,7 @@ func (ex *costExec) doLoad(g *absGroup, f *absFlow, av *avec, w int) *avec {
 		addr := av.base
 		g.cnt.sharedReads += int64(w)
 		ex.noteSharedN(g, addr, int64(w), numa)
-		ex.notePage(g, addr, false)
+		ex.notePage(addr)
 		if g.fwdOn {
 			if fv, ok := g.fwd[addr]; ok {
 				return avalVec(w, fv)
@@ -843,7 +834,7 @@ func (ex *costExec) doLoad(g *absGroup, f *absFlow, av *avec, w int) *avec {
 				a := addrs[i]
 				g.cnt.sharedReads++
 				ex.noteSharedN(g, a, 1, numa)
-				ex.notePage(g, a, false)
+				ex.notePage(a)
 				pv := ex.shared.peek(a)
 				if g.fwdOn {
 					if fv, ok := g.fwd[a]; ok {
@@ -867,7 +858,7 @@ func (ex *costExec) doLoad(g *absGroup, f *absFlow, av *avec, w int) *avec {
 			}
 			g.cnt.sharedReads += int64(w)
 			ex.noteSharedBulk(g, av.base, av.stride, w, numa)
-			ex.notePageBulk(g, av.base, av.stride, w, false)
+			ex.notePageBulk(av.base, av.stride, w)
 			return unkVec(w)
 		}
 	}
@@ -882,7 +873,7 @@ func (ex *costExec) doStore(g *absGroup, f *absFlow, av, bv *avec, w, seq int) {
 		addr := av.base
 		g.cnt.sharedWrites += int64(w)
 		ex.noteSharedN(g, addr, int64(w), numa)
-		ex.notePage(g, addr, true)
+		ex.notePage(addr)
 		if inRange(addr) {
 			g.writes = append(g.writes, absWrite{
 				addr: addr, val: bv.lane(0), flow: f.id, thread: 0, seq: seq, count: int64(w),
@@ -899,7 +890,7 @@ func (ex *costExec) doStore(g *absGroup, f *absFlow, av, bv *avec, w, seq int) {
 				a := addrs[i]
 				g.cnt.sharedWrites++
 				ex.noteSharedN(g, a, 1, numa)
-				ex.notePage(g, a, true)
+				ex.notePage(a)
 				if inRange(a) {
 					g.writes = append(g.writes, absWrite{
 						addr: a, val: bv.lane(i), flow: f.id, thread: i, seq: seq, count: 1,
@@ -917,7 +908,7 @@ func (ex *costExec) doStore(g *absGroup, f *absFlow, av, bv *avec, w, seq int) {
 			}
 			g.cnt.sharedWrites += int64(w)
 			ex.noteSharedBulk(g, av.base, av.stride, w, numa)
-			ex.notePageBulk(g, av.base, av.stride, w, true)
+			ex.notePageBulk(av.base, av.stride, w)
 			// The written range is too wide to track word by word: values
 			// degrade across the whole image, and same-step collisions with
 			// these writes can no longer be counted.
@@ -989,8 +980,7 @@ func (ex *costExec) doCombine(g *absGroup, f *absFlow, in isa.Instr, w, seq int)
 		a := addrs[i]
 		g.cnt.multiopRefs++
 		ex.noteSharedN(g, a, 1, numa)
-		ex.notePage(g, a, false)
-		ex.notePage(g, a, true)
+		ex.notePage(a)
 		c := absContrib{kind: kind, addr: a, val: bv.lane(i), flow: f.id, thread: i, seq: seq}
 		if want {
 			c.wantPrefix, c.rd, c.rflow = true, in.Rd, f
@@ -1278,7 +1268,7 @@ func (ex *costExec) leastLoaded() *absGroup {
 	return best
 }
 
-// compact mirrors compactGroup: drop Done residents, promote pending flows
+// compact mirrors the frontend's compact: drop Done residents, promote pending flows
 // into free slots, then displace Blocked/Waiting residents while runnable
 // flows wait — each movement charging the variant's task-switch rate.
 func (ex *costExec) compact() {
@@ -1362,50 +1352,9 @@ func (ex *costExec) fill(rep *CostReport, resolved bool, reason, note string) {
 		rep.WriteConflicts = minOnly(ex.conflicts)
 	}
 
-	n := len(ex.groups)
-	rep.GroupReadPages = make([][]int64, n)
-	rep.GroupWritePages = make([][]int64, n)
-	all := make(map[int64]struct{})
-	for i, g := range ex.groups {
-		rep.GroupReadPages[i] = pagesOf(g.readPages)
-		rep.GroupWritePages[i] = pagesOf(g.writePages)
-		for pg := range g.readPages {
-			all[pg] = struct{}{}
-		}
-		for pg := range g.writePages {
-			all[pg] = struct{}{}
-		}
-	}
 	if resolved && !ex.footLost {
-		rep.FootprintPages = exactBound(int64(len(all)))
-		total := 0
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				total++
-				if pagesDisjoint(ex.groups[i].writePages, ex.groups[j].readPages) &&
-					pagesDisjoint(ex.groups[i].writePages, ex.groups[j].writePages) &&
-					pagesDisjoint(ex.groups[j].writePages, ex.groups[i].readPages) {
-					rep.IndependentGroupPairs = append(rep.IndependentGroupPairs, [2]int{i, j})
-				}
-			}
-		}
-		rep.ScheduleNote = fmt.Sprintf(
-			"%d/%d group pairs provably independent at page granularity: dataflow run-ahead between them never blocks on a shared-page frontier",
-			len(rep.IndependentGroupPairs), total)
+		rep.FootprintPages = exactBound(int64(len(ex.pages)))
 	} else {
-		rep.FootprintPages = minOnly(int64(len(all)))
-		rep.ScheduleNote = "footprint incomplete; no group independence proven"
+		rep.FootprintPages = minOnly(int64(len(ex.pages)))
 	}
-}
-
-func pagesDisjoint(a, b map[int64]struct{}) bool {
-	if len(a) > len(b) {
-		a, b = b, a
-	}
-	for pg := range a {
-		if _, ok := b[pg]; ok {
-			return false
-		}
-	}
-	return true
 }

@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"hash/crc64"
 	"io"
+	"slices"
 )
 
 // ErrCorrupt reports a malformed, truncated or checksum-mismatched
@@ -26,9 +27,13 @@ import (
 // underlying I/O error) wrap it.
 var ErrCorrupt = errors.New("checkpoint: corrupt snapshot")
 
-// maxBlob bounds one length-prefixed byte string or slice so a corrupted
-// length cannot drive a multi-gigabyte allocation before the checksum check.
+// maxBlob bounds one length-prefixed byte string or slice.
 const maxBlob = 1 << 30
+
+// allocChunk caps how many elements a length-prefixed read allocates ahead
+// of the data: storage grows as elements arrive, so a corrupted length costs
+// memory only in proportion to the bytes actually read.
+const allocChunk = 4096
 
 // crcTable is the ECMA polynomial table shared by Encoder and Decoder.
 var crcTable = crc64.MakeTable(crc64.ECMA)
@@ -166,14 +171,14 @@ func NewDecoder(r io.Reader, magic string) (*Decoder, error) {
 	got := make([]byte, len(magic))
 	d.full(got)
 	if d.err != nil {
-		return nil, fmt.Errorf("%w: reading magic: %v", ErrCorrupt, d.err)
+		return nil, fmt.Errorf("checkpoint: reading magic: %w", d.err)
 	}
 	if string(got) != magic {
 		return nil, fmt.Errorf("%w: bad magic %q (want %q)", ErrCorrupt, got, magic)
 	}
 	d.version = d.Uvarint()
 	if d.err != nil {
-		return nil, fmt.Errorf("%w: reading version: %v", ErrCorrupt, d.err)
+		return nil, fmt.Errorf("checkpoint: reading version: %w", d.err)
 	}
 	return d, nil
 }
@@ -187,7 +192,7 @@ func (d *Decoder) full(b []byte) {
 		return
 	}
 	if _, err := io.ReadFull(d.r, b); err != nil {
-		d.err = err
+		d.readErr(err)
 		return
 	}
 	d.crc = crc64.Update(d.crc, crcTable, b)
@@ -200,11 +205,21 @@ func (d *Decoder) byteIn() byte {
 	}
 	c, err := d.r.ReadByte()
 	if err != nil {
-		d.err = err
+		d.readErr(err)
 		return 0
 	}
 	d.crc = crc64.Update(d.crc, crcTable, []byte{c})
 	return c
+}
+
+// readErr records a reader failure: running out of input means the
+// container was cut short, which is bad data; any other reader error passes
+// through unchanged.
+func (d *Decoder) readErr(err error) {
+	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+		err = fmt.Errorf("%w: truncated (%v)", ErrCorrupt, err)
+	}
+	d.err = err
 }
 
 // uvarintRaw reads a bare varint (no tag) through the checksum.
@@ -275,10 +290,15 @@ func (d *Decoder) Bytes() []byte {
 		d.fail("byte string length %d exceeds limit", n)
 		return nil
 	}
-	b := make([]byte, n)
-	d.full(b)
-	if d.err != nil {
-		return nil
+	b := make([]byte, 0, min(n, allocChunk))
+	for uint64(len(b)) < n {
+		k := int(min(n-uint64(len(b)), allocChunk))
+		b = slices.Grow(b, k)
+		d.full(b[len(b) : len(b)+k])
+		if d.err != nil {
+			return nil
+		}
+		b = b[:len(b)+k]
 	}
 	return b
 }
@@ -303,12 +323,13 @@ func (d *Decoder) Int64s() []int64 {
 	if n == 0 {
 		return nil
 	}
-	vs := make([]int64, n)
-	for i := range vs {
-		vs[i] = unzigzag(d.uvarintRaw())
+	vs := make([]int64, 0, min(n, allocChunk))
+	for uint64(len(vs)) < n {
+		v := unzigzag(d.uvarintRaw())
 		if d.err != nil {
 			return nil
 		}
+		vs = append(vs, v)
 	}
 	return vs
 }

@@ -2,12 +2,15 @@ package checkpoint
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
+	"testing/iotest"
 )
 
 func TestContainerRoundTrip(t *testing.T) {
@@ -126,6 +129,89 @@ func TestDecoderDetectsTruncation(t *testing.T) {
 	d.Bytes()
 	if err := d.Close(); err == nil {
 		t.Fatal("truncation went undetected")
+	}
+}
+
+// TestDecoderTruncationIsCorrupt cuts an encoded container at every byte
+// before its end: each prefix must fail with an error wrapping ErrCorrupt,
+// whether the cut lands in the header, a section marker, the slice payload
+// or the checksum trailer.
+func TestDecoderTruncationIsCorrupt(t *testing.T) {
+	var buf bytes.Buffer
+	e := NewEncoder(&buf, "TESTMAGC", 1)
+	e.Section("data")
+	e.Int64s([]int64{1, -300, 1 << 40, 7})
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	for cut := 0; cut < len(data); cut++ {
+		d, err := NewDecoder(bytes.NewReader(data[:cut]), "TESTMAGC")
+		if err == nil {
+			d.Section("data")
+			d.Int64s()
+			err = d.Close()
+		}
+		if !errors.Is(err, ErrCorrupt) {
+			t.Errorf("cut at %d/%d: err = %v, want ErrCorrupt", cut, len(data), err)
+		}
+	}
+}
+
+// TestDecoderPassesReaderErrors: a reader failure other than running out of
+// input is an I/O problem, not bad data, and reaches the caller unchanged.
+func TestDecoderPassesReaderErrors(t *testing.T) {
+	var buf bytes.Buffer
+	e := NewEncoder(&buf, "TESTMAGC", 1)
+	e.Section("data")
+	e.Int64s([]int64{1, 2, 3, 4})
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	boom := errors.New("disk on fire")
+	r := io.MultiReader(bytes.NewReader(buf.Bytes()[:len(buf.Bytes())-12]), iotest.ErrReader(boom))
+	d, err := NewDecoder(r, "TESTMAGC")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.Section("data")
+	d.Int64s()
+	if err := d.Err(); !errors.Is(err, boom) || errors.Is(err, ErrCorrupt) {
+		t.Fatalf("err = %v, want the reader's own error", err)
+	}
+}
+
+// TestDecoderHostileLengthBoundedAlloc feeds a header whose slice or string
+// length claims 1<<30 elements and then ends. The decoder must fail with
+// ErrCorrupt without first allocating storage for the claimed length.
+func TestDecoderHostileLengthBoundedAlloc(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		tag    byte
+		decode func(*Decoder)
+	}{
+		{"int64s", tagInt64s, func(d *Decoder) { d.Int64s() }},
+		{"bytes", tagBytes, func(d *Decoder) { d.Bytes() }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			stream := []byte("TCFSNAP")
+			stream = append(stream, tagUvarint, 1, tc.tag)
+			stream = binary.AppendUvarint(stream, 1<<30)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			d, err := NewDecoder(bytes.NewReader(stream), "TCFSNAP")
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.decode(d)
+			runtime.ReadMemStats(&after)
+			if err := d.Err(); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("err = %v, want ErrCorrupt", err)
+			}
+			if delta := after.TotalAlloc - before.TotalAlloc; delta >= 4<<20 {
+				t.Fatalf("decoding a %d-byte stream allocated %d bytes", len(stream), delta)
+			}
+		})
 	}
 }
 

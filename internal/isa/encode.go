@@ -232,10 +232,11 @@ func (r *binReader) varint() int64 {
 }
 
 func (r *binReader) string() string {
-	n := int(r.uvarint())
-	if r.err != nil || n > len(r.data)-r.off {
+	// Compare in uint64: a length past MaxInt64 would turn negative as int.
+	n := r.uvarint()
+	if r.err != nil || n > uint64(len(r.data)-r.off) {
 		r.fail("string")
 		return ""
 	}
-	return string(r.bytes(n))
+	return string(r.bytes(int(n)))
 }

@@ -34,6 +34,8 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte("TCFB"))
 	f.Add(Encode(MustAssemble("s", "main:\nHALT")))
 	f.Add(Encode(MustAssemble("s", sampleProgram)))
+	// A name length past MaxInt64 once wrapped negative and panicked.
+	f.Add([]byte("TCFB\x01\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, err := Decode(data)
 		if err != nil {

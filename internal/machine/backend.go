@@ -2,7 +2,6 @@ package machine
 
 import (
 	"tcfpram/internal/isa"
-	"tcfpram/internal/mem"
 	"tcfpram/internal/tcf"
 )
 
@@ -57,8 +56,7 @@ func (bk *backend) merge() (int64, error) {
 			m.runErr = x.err
 			return 0, x.err
 		}
-		gc := m.foldGroup(x.g.Index, &x.groupCounters,
-			x.writes, x.contribs, x.outputs, x.events, x.accs)
+		gc := m.foldGroup(x)
 		if gc > stepCycles {
 			stepCycles = gc
 		}
@@ -70,16 +68,13 @@ func (bk *backend) merge() (int64, error) {
 // writes and combining contributions move toward the commit stage, outputs
 // and deferred events are collected, statistics and per-stage attribution
 // accumulate. It returns the group's cycle count for the step (the step's
-// cycle count is the maximum over groups). Shared by the lockstep merge
-// (reading the groupExec arenas directly) and the dataflow committer
-// (reading published step packets); both call it in group-index order,
-// which is what makes the two schedulers bit-identical.
-func (m *Machine) foldGroup(gi int, c *groupCounters,
-	writes []mem.Write, contribs []pendingContrib, outputs []Output,
-	events []deferredEvent, accs []discAcc) int64 {
-	m.shared.BufferWrites(writes)
-	for i := range contribs {
-		pc := &contribs[i]
+// cycle count is the maximum over groups). merge calls it in group-index
+// order, which keeps the fold deterministic.
+func (m *Machine) foldGroup(x *groupExec) int64 {
+	gi, c := x.g.Index, &x.groupCounters
+	m.shared.BufferWrites(x.writes)
+	for i := range x.contribs {
+		pc := &x.contribs[i]
 		cb := pc.c
 		if pc.hasRoute {
 			m.routes = append(m.routes, pc.route)
@@ -87,9 +82,9 @@ func (m *Machine) foldGroup(gi int, c *groupCounters,
 		}
 		m.combiners[combinerIndex(pc.kind)].Add(cb)
 	}
-	m.stepOutputs = append(m.stepOutputs, outputs...)
-	m.stepEvents = append(m.stepEvents, events...)
-	m.discAccs = append(m.discAccs, accs...)
+	m.stepOutputs = append(m.stepOutputs, x.outputs...)
+	m.stepEvents = append(m.stepEvents, x.events...)
+	m.discAccs = append(m.discAccs, x.accs...)
 
 	opsCycles := c.ops + c.scalarOps
 	var overhead int64
@@ -125,7 +120,7 @@ func (m *Machine) foldGroup(gi int, c *groupCounters,
 	m.stats.Stages[StageMemory].Cycles += overhead + c.stall + c.faultStall
 	m.stats.Stages[StageMemory].Events += c.sharedReads + c.sharedWrites +
 		c.localReads + c.localWrites + c.multiopRefs
-	m.stats.Stages[StageCommit].Events += int64(len(writes) + len(contribs))
+	m.stats.Stages[StageCommit].Events += int64(len(x.writes) + len(x.contribs))
 	return gc
 }
 

@@ -64,10 +64,10 @@ type Config struct {
 	// Backend). Results are bit-identical across backends.
 	Backend Backend
 
-	// Sched selects the step scheduling discipline (SchedLockstep by
-	// default; see Sched). Results are bit-identical across schedulers:
-	// SchedDataflow overlaps the groups' step generation across step
-	// boundaries but commits in the exact lockstep order.
+	// Sched must be SchedLockstep (the zero value); New rejects anything
+	// else.
+	//
+	// Deprecated: lockstep is the only scheduler; kept until the benchmark harness stops setting it.
 	Sched Sched
 
 	// Groups is P, the number of processor groups (physical pipelines).
@@ -294,7 +294,7 @@ func (c Config) normalize() (Config, error) {
 	if c.Backend != BackendInterp && c.Backend != BackendFused {
 		return c, fmt.Errorf("machine: unknown backend %d", int(c.Backend))
 	}
-	if c.Sched != SchedLockstep && c.Sched != SchedDataflow {
+	if c.Sched != SchedLockstep {
 		return c, fmt.Errorf("machine: unknown scheduler %d", int(c.Sched))
 	}
 	return c, nil

@@ -279,29 +279,20 @@ func (fr *frontend) preempt() {
 // into freed slots — the zero-cost task switch of the TCF variants
 // (Table 1): rotating the TCF storage buffer costs no cycles there.
 func (fr *frontend) compact() {
-	for _, g := range fr.m.groups {
-		fr.compactGroup(g)
-	}
-}
-
-// compactGroup compacts one group's buffer. The dataflow committer calls it
-// per group (in group-index order, like compact) so it can skip groups whose
-// runners are mid-step — safe exactly because compaction is a no-op for
-// them: no flow of theirs went Done this step and their pending queue is
-// empty, or their runner would have fenced itself to the step boundary.
-func (fr *frontend) compactGroup(g *Group) {
 	m := fr.m
-	g.Buf.dropDone()
-	for g.Buf.promote(m.cfg.ProcsPerGroup) {
-		fr.noteTaskSwitch()
-	}
-	// Flows parked at a barrier (or waiting on children) do not
-	// execute; displace them so queued ready tasks can run — without
-	// this, a barrier across an oversubscribed task set deadlocks
-	// (blocked flows hold every slot while the tasks that must still
-	// reach the barrier sit in the queue).
-	for g.Buf.pendingReady() && g.Buf.displaceBlocked() {
-		fr.noteTaskSwitch()
+	for _, g := range m.groups {
+		g.Buf.dropDone()
+		for g.Buf.promote(m.cfg.ProcsPerGroup) {
+			fr.noteTaskSwitch()
+		}
+		// Flows parked at a barrier (or waiting on children) do not
+		// execute; displace them so queued ready tasks can run — without
+		// this, a barrier across an oversubscribed task set deadlocks
+		// (blocked flows hold every slot while the tasks that must still
+		// reach the barrier sit in the queue).
+		for g.Buf.pendingReady() && g.Buf.displaceBlocked() {
+			fr.noteTaskSwitch()
+		}
 	}
 }
 

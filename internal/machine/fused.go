@@ -104,14 +104,8 @@ func (x *groupExec) fusedLaneRange(f *tcf.Flow, fi *fuse.Instr, first, n int) bo
 	// fault-free, no discipline recording, lockstep (buffered) semantics,
 	// PRAM mode, no store-to-load forwarding. Per-reference bookkeeping is
 	// then loop-invariant — refSeq never advances without a fault plan — so
-	// hoisting it out of the lane loop is observationally identical. Under
-	// the dataflow scheduler loads take the reference path too: loadShared
-	// is where the per-page frontier gate lives (the bulk ST kernel below
-	// stays engaged — buffered stores need no gating).
+	// hoisting it out of the lane loop is observationally identical.
 	if n <= 0 || x.m.cfg.FaultPlan != nil || x.disc || x.immediate || x.fwdOn || f.Mode == tcf.NUMA {
-		return false
-	}
-	if x.df != nil && fi.In.Op == isa.LD {
 		return false
 	}
 	in := &fi.In

@@ -63,11 +63,6 @@ type Machine struct {
 	discAccs    []discAcc // step's recorded accesses (Config.MemDiscipline)
 	wg          sync.WaitGroup
 
-	// dfFront is the dataflow scheduler's per-page dependency frontier,
-	// non-nil only while runDataflow drives the machine; groupExec.reset
-	// captures it so generation gates shared reads on the write frontier.
-	dfFront *mem.Frontier
-
 	stats  Stats
 	output []Output
 
@@ -298,12 +293,6 @@ func (m *Machine) RunContext(ctx context.Context) (*Stats, error) {
 		if err := m.Boot(); err != nil {
 			return nil, err
 		}
-	}
-	// The dataflow scheduler applies to lockstep step shapes; immediate
-	// (XMT-style) semantics serialize memory within the step and keep the
-	// lockstep engine. Manual Step() always steps lockstep.
-	if m.cfg.Sched == SchedDataflow && m.shape.Lockstep {
-		return m.runDataflow(ctx)
 	}
 	wd := newWatchdog(m.cfg.WatchdogSteps)
 	for !m.Done() {

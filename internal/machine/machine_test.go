@@ -722,6 +722,14 @@ func TestConfigValidation(t *testing.T) {
 		t.Error("fixed-thickness with 2 groups accepted")
 	}
 	cfg = Default(variant.SingleInstruction)
+	cfg.Sched = Sched(1)
+	if _, err := New(cfg); err == nil {
+		t.Error("non-lockstep scheduler accepted")
+	}
+	if SchedLockstep.String() != "lockstep" {
+		t.Errorf("SchedLockstep renders as %q", SchedLockstep)
+	}
+	cfg = Default(variant.SingleInstruction)
 	cfg.Topology = nil
 	if m, err := New(cfg); err != nil || m.Config().Topology == nil {
 		t.Error("nil topology should default")

@@ -194,8 +194,7 @@ type deferredEvent struct {
 
 // groupCounters is the per-step statistics block of one group's execution —
 // every scalar the merge stage folds into Stats. It is split out of
-// groupExec so the dataflow scheduler can snapshot it into a step packet
-// with one struct copy; the lockstep engine reads it off the exec directly.
+// groupExec so reset can zero it with one struct assignment.
 type groupCounters struct {
 	ops       int64
 	scalarOps int64
@@ -237,19 +236,6 @@ type groupExec struct {
 	// immediate caches !plan.Lockstep: XMT-style memory semantics where
 	// loads see the current state and stores apply instantly.
 	immediate bool
-
-	// step is the step index this arena is generating — identical to the
-	// machine's committed Steps under lockstep, but ahead of it when the
-	// dataflow scheduler lets this group run ahead. Everything step-indexed
-	// on the generation path (fault decisions, PRINT provenance) reads
-	// this, never m.stats.Steps.
-	step int64
-
-	// df gates shared reads on the write frontier when the dataflow
-	// scheduler is active (nil under lockstep): a read of a page with
-	// uncommitted writes from an earlier step blocks until the committer
-	// catches up, preserving the pre-step memory image exactly.
-	df *mem.Frontier
 
 	groupCounters
 
@@ -294,8 +280,6 @@ type groupExec struct {
 func (x *groupExec) reset(plan StepPlan) {
 	x.plan = plan
 	x.immediate = !plan.Lockstep
-	x.step = plan.Step
-	x.df = x.m.dfFront
 	x.groupCounters = groupCounters{}
 	x.refSeq = 0
 	x.writes = x.writes[:0]
@@ -312,10 +296,8 @@ func (x *groupExec) reset(plan StepPlan) {
 // resetLaneWorker prepares a worker clone for one lane chunk whose shared
 // references start at refSeq (the parent's sequence at the chunk's first
 // lane, keeping fault decisions identical to serial execution).
-func (x *groupExec) resetLaneWorker(refSeq, step int64) {
+func (x *groupExec) resetLaneWorker(refSeq int64) {
 	x.immediate = false
-	x.step = step
-	x.df = x.m.dfFront
 	x.groupCounters = groupCounters{}
 	x.refSeq = refSeq
 	x.writes = x.writes[:0]
@@ -375,7 +357,7 @@ func (x *groupExec) noteShared(addr int64, numaMode bool) {
 	module := x.m.shared.ModuleOf(addr)
 	dist := x.m.dist[x.g.Index*x.m.nmods+module]
 	if plan := x.m.cfg.FaultPlan; plan != nil {
-		step := x.step
+		step := x.m.stats.Steps
 		if plan.RouteDown(x.g.Index, module, step) {
 			dist += plan.Detour()
 			x.reroutes++
@@ -421,12 +403,6 @@ func (x *groupExec) loadShared(f *tcf.Flow, addr int64, lane int) int64 {
 		if v, ok := x.fwd[addr]; ok {
 			return v
 		}
-	}
-	if x.df != nil {
-		// Dataflow scheduling: block until every earlier step's write to
-		// this page has committed, so the Peek below sees exactly the
-		// pre-step image lockstep execution would.
-		x.df.WaitRead(x.df.PageOf(addr), x.step)
 	}
 	return x.m.shared.Peek(addr)
 }
@@ -700,7 +676,7 @@ func (x *groupExec) execAtomic(f *tcf.Flow, in isa.Instr) {
 		}
 		f.SetScalar(in.Rd, acc)
 	case in.Op == isa.PRINT:
-		out := Output{Flow: f.ID, Step: x.step}
+		out := Output{Flow: f.ID, Step: x.m.stats.Steps}
 		switch {
 		case in.HasImm:
 			out.Values = []int64{in.Imm}
@@ -711,7 +687,7 @@ func (x *groupExec) execAtomic(f *tcf.Flow, in isa.Instr) {
 		}
 		x.outputs = append(x.outputs, out)
 	case in.Op == isa.PRINTS:
-		x.outputs = append(x.outputs, Output{Flow: f.ID, Step: x.step, Text: in.Sym})
+		x.outputs = append(x.outputs, Output{Flow: f.ID, Step: x.m.stats.Steps, Text: in.Sym})
 	case in.Op == isa.NOP:
 	default:
 		x.execLane(f, in, 0, 0)

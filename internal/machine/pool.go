@@ -186,7 +186,7 @@ func (x *groupExec) execLanes(f *tcf.Flow, in isa.Instr, w int) {
 			size = w - first
 		}
 		wk := x.lw[c-1]
-		wk.resetLaneWorker(base+int64(first)*refs, x.step)
+		wk.resetLaneWorker(base + int64(first)*refs)
 		x.chunks[c-1] = laneChunk{w: wk, f: f, in: in, first: first, n: size}
 		lanePool.submit(poolJob{lane: &x.chunks[c-1], wg: &x.wg})
 	}

@@ -30,9 +30,44 @@ func snapshotOf(m *Machine) runSnapshot {
 }
 
 // resetPrograms exercises thickness changes, splits, shared and local
-// memory, multioperations and printing — the state surfaces Reset must
-// scrub.
+// memory, multioperations, printing and a cross-group flag handoff — the
+// state surfaces Reset must scrub.
 var resetPrograms = map[string]string{
+	// A consumer group spins on a flag its producer raises only after a
+	// long private loop, while a thick third flow computes independently.
+	"producer-consumer": `
+main:
+    SPLIT 1 -> producer, 1 -> consumer, 6 -> mixer
+    HALT
+producer:
+    LDI S1, 0
+ploop:
+    ADD S1, S1, 1
+    SLT S2, S1, 25
+    BNEZ S2, ploop
+    LDI S3, 123
+    ST 700, S3
+    LDI S4, 1
+    ST 701, S4
+    JOIN
+consumer:
+cloop:
+    LD S1, 701
+    BEQZ S1, cloop
+    LD S2, 700
+    ST 702, S2
+    JOIN
+mixer:
+    TID V0
+    LDI S1, 0
+mloop:
+    ADD V1, V1, 3
+    ADD S1, S1, 1
+    SLT S2, S1, 40
+    BNEZ S2, mloop
+    ST V0+710, V1
+    JOIN
+`,
 	"vector-add": vectorAddSrc,
 	"multiop": `
 .data 100: 1 2 3 4 5 6 7 8
@@ -78,6 +113,9 @@ func TestMachineResetBitIdentity(t *testing.T) {
 				}
 				if _, err := fresh.Run(); err != nil {
 					t.Fatalf("%v fresh: %v", kind, err)
+				}
+				if got := fresh.Shared().Peek(702); name == "producer-consumer" && got != 123 {
+					t.Fatalf("%v: consumer read %d after the flag, want 123", kind, got)
 				}
 				want := snapshotOf(fresh)
 

@@ -109,26 +109,37 @@ func TestMissingJoinDeadlockMessage(t *testing.T) {
 	// can ever become ready. Normal assembly cannot reach it (barrier
 	// release rescues blocked flows and HALT implies JOIN), so model the
 	// broken state a missing join notification would leave behind: a
-	// parent waiting on a child count that never drains.
-	m, err := New(Default(variant.SingleInstruction))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.LoadProgram(isa.MustAssemble("t", "main:\n    HALT\n")); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Boot(); err != nil {
-		t.Fatal(err)
-	}
-	f := m.Flow(0)
-	f.State = tcf.Waiting
-	f.LiveChildren = 1 // the child that will never JOIN
-	err = m.Step()
-	if !errors.Is(err, ErrDeadlock) {
-		t.Fatalf("want ErrDeadlock, got %v", err)
-	}
-	if !strings.Contains(err.Error(), "missing JOIN") {
-		t.Fatalf("deadlock message should hint at the missing JOIN: %v", err)
+	// parent waiting on a child count that never drains. Manual stepping
+	// and the RunContext loop must reach the same verdict.
+	for _, tc := range []struct {
+		name  string
+		drive func(*Machine) error
+	}{
+		{"step", func(m *Machine) error { return m.Step() }},
+		{"run", func(m *Machine) error { _, err := m.Run(); return err }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m, err := New(Default(variant.SingleInstruction))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := m.LoadProgram(isa.MustAssemble("t", "main:\n    HALT\n")); err != nil {
+				t.Fatal(err)
+			}
+			if err := m.Boot(); err != nil {
+				t.Fatal(err)
+			}
+			f := m.Flow(0)
+			f.State = tcf.Waiting
+			f.LiveChildren = 1 // the child that will never JOIN
+			err = tc.drive(m)
+			if !errors.Is(err, ErrDeadlock) {
+				t.Fatalf("want ErrDeadlock, got %v", err)
+			}
+			if !strings.Contains(err.Error(), "missing JOIN") {
+				t.Fatalf("deadlock message should hint at the missing JOIN: %v", err)
+			}
+		})
 	}
 }
 
@@ -145,6 +156,14 @@ func TestRunContextCanceledBetweenSteps(t *testing.T) {
 	cancel()
 	if _, err := m.RunContext(ctx); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("want ErrCanceled, got %v", err)
+	}
+	// The stop state: the cancellation is checked before the first step,
+	// so nothing ran, and the machine records the same typed error.
+	if s := m.Stats().Steps; s != 0 {
+		t.Fatalf("canceled run took %d steps, want 0", s)
+	}
+	if !errors.Is(m.Err(), ErrCanceled) {
+		t.Fatalf("Err() = %v, want ErrCanceled", m.Err())
 	}
 }
 

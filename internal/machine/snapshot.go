@@ -237,7 +237,9 @@ func Restore(r io.Reader, cfg Config) (*Machine, error) {
 	if nFlows < 0 || nFlows > 1<<24 {
 		return nil, fmt.Errorf("machine: snapshot flow count %d out of range", nFlows)
 	}
-	parents := make(map[int]int, nFlows)
+	// No size hint: the count is untrusted until the flows behind it have
+	// actually been read.
+	parents := make(map[int]int)
 	for i := 0; i < nFlows; i++ {
 		f, parent, err := tcf.DecodeFlow(d)
 		if err != nil {
@@ -290,7 +292,7 @@ func Restore(r io.Reader, cfg Config) (*Machine, error) {
 	if nOut < 0 || nOut > 1<<26 {
 		return nil, fmt.Errorf("machine: snapshot output count %d out of range", nOut)
 	}
-	for i := 0; i < nOut; i++ {
+	for i := 0; i < nOut && d.Err() == nil; i++ {
 		o := Output{Flow: d.Int(), Step: d.Varint(), Values: d.Int64s(), Text: d.String()}
 		m.output = append(m.output, o)
 	}

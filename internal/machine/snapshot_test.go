@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 
+	"tcfpram/internal/codegen"
 	"tcfpram/internal/fault"
 	"tcfpram/internal/isa"
 	"tcfpram/internal/variant"
@@ -410,4 +413,47 @@ func TestRestoredMachineIsSnapshottable(t *testing.T) {
 	if got := snapshotOf(m); !reflect.DeepEqual(got, want) {
 		t.Fatalf("crash-every-step run differs from oracle\ngot  %+v\nwant %+v", got.stats, want.stats)
 	}
+}
+
+// FuzzRestore feeds arbitrary bytes to Restore. Seeds are real mid-run
+// snapshots of tcf-e corpus programs, so mutations reach every section of
+// the decoder. Whatever the input, Restore must not panic and must return
+// exactly one of a machine or an error.
+func FuzzRestore(f *testing.F) {
+	cfg := Default(variant.SingleInstruction)
+	for _, name := range []string{"histogram.te", "nested_parallel.te", "numa_chain.te"} {
+		src, err := os.ReadFile(filepath.Join("..", "codegen", "testdata", name))
+		if err != nil {
+			f.Fatal(err)
+		}
+		c, err := codegen.CompileSource(name, string(src))
+		if err != nil {
+			f.Fatal(err)
+		}
+		sink := &memSink{}
+		run := cfg
+		run.CheckpointEvery = 8
+		run.CheckpointSink = sink
+		m, err := New(run)
+		if err != nil {
+			f.Fatal(err)
+		}
+		if err := m.LoadProgram(c.Program); err != nil {
+			f.Fatal(err)
+		}
+		if _, err := m.Run(); err != nil {
+			f.Fatal(err)
+		}
+		if len(sink.snaps) == 0 {
+			f.Fatalf("%s: no checkpoint taken", name)
+		}
+		f.Add(sink.snaps[0])
+		f.Add(sink.snaps[len(sink.snaps)-1])
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := Restore(bytes.NewReader(data), cfg)
+		if (m == nil) == (err == nil) {
+			t.Fatalf("Restore returned machine %v and error %v", m != nil, err)
+		}
+	})
 }

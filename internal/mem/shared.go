@@ -305,18 +305,6 @@ func (s *Shared) ensurePage(addr int64) []int64 {
 	return p
 }
 
-// EnsurePageTable materializes the page table (not the pages) eagerly. The
-// dataflow scheduler calls this once before its runners start: with the
-// table in place, ensurePage only ever stores into a fixed slot of it, so a
-// committer materializing a page races with nothing — concurrent readers of
-// *other* slots touch disjoint memory, and readers of the same slot are
-// ordered behind the commit by the Frontier handshake.
-func (s *Shared) EnsurePageTable() {
-	if s.pages == nil {
-		s.pages = make([][]int64, (s.size+pageWords-1)>>pageShift)
-	}
-}
-
 // Read returns the word at addr as of the start of the current step.
 // Out-of-range reads return 0, like the trap-free simulated hardware.
 func (s *Shared) Read(addr int64) int64 {

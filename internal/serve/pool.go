@@ -16,7 +16,6 @@ import (
 type poolKey struct {
 	variant       variant.Kind
 	backend       machine.Backend
-	sched         machine.Sched
 	groups, procs int
 	sharedWords   int
 	localWords    int
@@ -44,7 +43,6 @@ func keyOf(cfg machine.Config) (poolKey, error) {
 	return poolKey{
 		variant:       cfg.Variant,
 		backend:       cfg.Backend,
-		sched:         cfg.Sched,
 		groups:        cfg.Groups,
 		procs:         cfg.ProcsPerGroup,
 		sharedWords:   cfg.SharedWords,
@@ -164,9 +162,9 @@ func (p *MachinePool) Close() {
 }
 
 // PoolCounters is a point-in-time snapshot of the pool's reuse accounting.
-// IdleByBackend and IdleBySched split the idle machines by step-engine
-// backend and scheduler so mixed pools (tenants with different backend or
-// scheduler defaults) stay observable through /metrics.
+// IdleByBackend splits the idle machines by step-engine backend so mixed
+// pools (tenants with different backend defaults) stay observable through
+// /metrics.
 type PoolCounters struct {
 	Hits          int64          `json:"hits"`
 	Misses        int64          `json:"misses"`
@@ -174,7 +172,6 @@ type PoolCounters struct {
 	Full          int64          `json:"full"`
 	Idle          int            `json:"idle"`
 	IdleByBackend map[string]int `json:"idle_by_backend,omitempty"`
-	IdleBySched   map[string]int `json:"idle_by_sched,omitempty"`
 }
 
 // Counters returns the pool's reuse accounting.
@@ -183,20 +180,15 @@ func (p *MachinePool) Counters() PoolCounters {
 	defer p.mu.Unlock()
 	idle := 0
 	byBackend := make(map[string]int)
-	bySched := make(map[string]int)
 	for key, list := range p.idle {
 		idle += len(list)
 		if len(list) > 0 {
 			byBackend[key.backend.String()] += len(list)
-			bySched[key.sched.String()] += len(list)
 		}
 	}
 	if len(byBackend) == 0 {
 		byBackend = nil
 	}
-	if len(bySched) == 0 {
-		bySched = nil
-	}
 	return PoolCounters{Hits: p.hits, Misses: p.misses, Discards: p.discards, Full: p.full,
-		Idle: idle, IdleByBackend: byBackend, IdleBySched: bySched}
+		Idle: idle, IdleByBackend: byBackend}
 }

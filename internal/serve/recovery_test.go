@@ -185,6 +185,61 @@ func main() {
 }
 `
 
+// TestLegacySchedFieldReplays: builds that offered a dataflow scheduler
+// accepted a "sched" field on /run and journaled it in accept records. Both
+// must still run to the lockstep answer: the unknown field is ignored, and
+// the answer is the same because the schedulers were bit-identical.
+func TestLegacySchedFieldReplays(t *testing.T) {
+	peek := []peekRange{{Addr: 300, N: 8}}
+	_, oracleTS := newTestServer(t, Options{})
+	_, _, oracle := post(t, oracleTS, "", runRequest{Source: ckptSrc, Peek: peek})
+	if oracle.Outcome != outcomeOK {
+		t.Fatalf("oracle: %q (%s)", oracle.Outcome, oracle.Error)
+	}
+	srcJSON, _ := json.Marshal(ckptSrc)
+	legacyReq := `{"name":"legacy","source":` + string(srcJSON) +
+		`,"sched":"dataflow","peek":[{"addr":300,"n":8}]}`
+	same := func(what string, got runResponse) {
+		t.Helper()
+		if got.Outcome != outcomeOK {
+			t.Fatalf("%s: %q (%s)", what, got.Outcome, got.Error)
+		}
+		if got.Steps != oracle.Steps || got.Cycles != oracle.Cycles {
+			t.Fatalf("%s: steps %d/%d cycles %d/%d", what, got.Steps, oracle.Steps, got.Cycles, oracle.Cycles)
+		}
+		gotJSON, _ := json.Marshal([]any{got.Outputs, got.Memory})
+		wantJSON, _ := json.Marshal([]any{oracle.Outputs, oracle.Memory})
+		if !bytes.Equal(gotJSON, wantJSON) {
+			t.Fatalf("%s: answer diverged: %s vs %s", what, gotJSON, wantJSON)
+		}
+	}
+
+	// A /run body from an old client.
+	status, _, resp := postRaw(t, oracleTS, "", []byte(legacyReq))
+	if status != http.StatusOK {
+		t.Fatalf("legacy /run body: status %d", status)
+	}
+	same("legacy /run body", resp)
+
+	// A journal accept record written by the old build, with no done record:
+	// the crash window, replayed by the new build on start-up.
+	dir := t.TempDir()
+	line := `{"kind":"accept","id":"legacy-1","tenant":"anon","src_hash":"` +
+		hashSource(ckptSrc) + `","req":` + legacyReq + "}\n"
+	if err := os.WriteFile(filepath.Join(dir, "journal.jsonl"), []byte(line), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, ts := newRecoveredServer(t, Options{RecoverDir: dir})
+	if got := s.Metrics().Recovery.RecoveredRuns; got != 1 {
+		t.Fatalf("recovered runs = %d, want 1", got)
+	}
+	status, _, resp = postID(t, ts, "", "legacy-1", runRequest{Source: ckptSrc})
+	if status != http.StatusOK {
+		t.Fatalf("recovered legacy run: status %d", status)
+	}
+	same("journaled legacy accept", resp)
+}
+
 // writeMidRunCheckpoint reproduces what execute's FileSink would have left
 // behind at the moment of a crash: a machine built exactly the way the
 // server builds one, stepped partway, snapshotted to the run's checkpoint

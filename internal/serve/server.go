@@ -81,11 +81,6 @@ type Limits struct {
 	// "fused"; empty inherits the server default, which is interp). A
 	// request may override it per run with its own "backend" field.
 	Backend string
-	// Sched is the tenant's default step scheduler ("lockstep" or
-	// "dataflow"; empty inherits the server default, which is lockstep).
-	// A request may override it per run with its own "sched" field. The
-	// schedulers are bit-identical; this only trades wall clock.
-	Sched string
 }
 
 func defaultLimits() Limits {
@@ -121,9 +116,6 @@ func (l Limits) withDefaults(d Limits) Limits {
 	}
 	if l.Backend == "" {
 		l.Backend = d.Backend
-	}
-	if l.Sched == "" {
-		l.Sched = d.Sched
 	}
 	return l
 }
@@ -345,9 +337,6 @@ type runRequest struct {
 	// Backend selects the step-engine backend ("interp" or "fused"; empty
 	// takes the tenant's default).
 	Backend string `json:"backend"`
-	// Sched selects the step scheduler ("lockstep" or "dataflow"; empty
-	// takes the tenant's default).
-	Sched string `json:"sched"`
 	// Machine shape; zero fields take the variant defaults, capped by the
 	// server's MaxGroups/MaxProcs and the tenant's MaxSharedWords.
 	Groups      int `json:"groups"`
@@ -695,15 +684,6 @@ func (s *Server) buildConfig(req *runRequest, vk variant.Kind, runDisc mem.Disci
 		return cfg, &runResponse{Outcome: outcomeBadRequest, Error: err.Error()}, http.StatusBadRequest
 	}
 	cfg.Backend = backend
-	schedName := req.Sched
-	if schedName == "" {
-		schedName = lim.Sched
-	}
-	sched, err := machine.ParseSched(schedName)
-	if err != nil {
-		return cfg, &runResponse{Outcome: outcomeBadRequest, Error: err.Error()}, http.StatusBadRequest
-	}
-	cfg.Sched = sched
 	if req.Groups > 0 {
 		cfg.Groups = req.Groups
 	}

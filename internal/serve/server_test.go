@@ -572,47 +572,6 @@ func TestBackendSelection(t *testing.T) {
 	}
 }
 
-// TestSchedSelection covers the dataflow-scheduler plumbing: a request's
-// "sched" field and a tenant's Sched default both reach the machine config,
-// results are identical to lockstep runs, machines pooled under different
-// schedulers are kept apart, and /metrics splits the idle counts per
-// scheduler.
-func TestSchedSelection(t *testing.T) {
-	_, ts := newTestServer(t, Options{
-		Tenants: map[string]Limits{"dftenant": {Sched: "dataflow"}},
-	})
-
-	// Request-level override on the default tenant.
-	if status, _, resp := post(t, ts, "", runRequest{Source: validSrc, Sched: "dataflow"}); status != 200 || len(resp.Outputs) == 0 || resp.Outputs[0].Values[0] != 42 {
-		t.Fatalf("dataflow run: %d %+v", status, resp)
-	}
-	// Tenant-level default, no request field.
-	if status, _, resp := post(t, ts, "dftenant", runRequest{Source: validSrc}); status != 200 || len(resp.Outputs) == 0 || resp.Outputs[0].Values[0] != 42 {
-		t.Fatalf("tenant-default dataflow run: %d %+v", status, resp)
-	}
-	// Lockstep run on the default tenant (empty everywhere = lockstep).
-	if status, _, resp := post(t, ts, "", runRequest{Source: validSrc}); status != 200 || len(resp.Outputs) == 0 || resp.Outputs[0].Values[0] != 42 {
-		t.Fatalf("lockstep run: %d %+v", status, resp)
-	}
-	// A bad scheduler name is a 400, not a server error.
-	if status, _, resp := post(t, ts, "", runRequest{Source: validSrc, Sched: "speculative"}); status != 400 || resp.Outcome != outcomeBadRequest {
-		t.Fatalf("bad sched: %d %+v", status, resp)
-	}
-
-	hres, err := ts.Client().Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer hres.Body.Close()
-	var snap MetricsSnapshot
-	if err := json.NewDecoder(hres.Body).Decode(&snap); err != nil {
-		t.Fatal(err)
-	}
-	if snap.Pool.IdleBySched["dataflow"] == 0 || snap.Pool.IdleBySched["lockstep"] == 0 {
-		t.Fatalf("expected idle machines under both schedulers, got %+v", snap.Pool.IdleBySched)
-	}
-}
-
 func waitFor(t *testing.T, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)

@@ -506,9 +506,8 @@ func Multitask(k, thickness int) Workload {
 // iterating a private scalar chain (x -> 3x+1) over its own disjoint slice
 // of BaseC for `iters` rounds — the multi-group engine-throughput workload.
 // There are no cross-arm dependencies: every arm reads and writes only its
-// own region, so a step engine free to overlap groups (worker pools, the
-// dataflow scheduler) can scale with cores, while the lockstep barrier pays
-// a global synchronization every step.
+// own region, so the pooled step engine (Config.Parallel) can run the groups
+// of a step on separate cores.
 func GroupParallel(arms, thickness, iters int) Workload {
 	size := arms * thickness
 	checkSize(size)

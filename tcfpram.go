@@ -133,24 +133,19 @@ const (
 // interp).
 func ParseBackend(s string) (Backend, error) { return machine.ParseBackend(s) }
 
-// Sched selects the step scheduler (Config.Sched): the global-lockstep step
-// loop, or the dataflow scheduler that lets TCF groups run ahead
-// independently and synchronize only at actual shared-memory dependency
-// edges. The two are bit-identical on every program — outputs, memory,
-// statistics, traces and checkpoints; the lockstep engine is the oracle.
+// Sched names the step scheduler (Config.Sched); lockstep is the only one.
+//
+// Deprecated: lockstep is the only scheduler; kept until the benchmark harness stops setting it.
+//
+//lint:ignore SA1019 re-exports the deprecated machine shim under the same deprecation.
 type Sched = machine.Sched
 
-const (
-	// SchedLockstep advances every group in global lockstep (the default).
-	SchedLockstep = machine.SchedLockstep
-	// SchedDataflow runs one generator goroutine per group, committing
-	// results in deterministic lockstep order.
-	SchedDataflow = machine.SchedDataflow
-)
-
-// ParseSched resolves a scheduler name ("lockstep" or "dataflow"; "" means
-// lockstep).
-func ParseSched(s string) (Sched, error) { return machine.ParseSched(s) }
+// SchedLockstep advances every group in global lockstep (the default).
+//
+// Deprecated: lockstep is the only scheduler; kept until the benchmark harness stops setting it.
+//
+//lint:ignore SA1019 re-exports the deprecated machine shim under the same deprecation.
+const SchedLockstep = machine.SchedLockstep
 
 // FaultPlan is a deterministic, seeded fault schedule for Config.FaultPlan:
 // reference loss with retransmission, route detours, and memory-module
@@ -240,10 +235,9 @@ func DiagnosticsHaveErrors(ds []Diagnostic) bool { return diag.HasErrors(ds) }
 
 // CostReport is the static cost analyzer's prediction for one program on
 // one machine shape: predicted step/cycle/traffic bounds under the extended
-// PRAM-NUMA cost model, shared-memory footprint, and the group-independence
-// verdict the dataflow scheduler consumes. When Resolved is true every
-// bound is exact and equals the measured Stats of a real run (on either
-// backend, under either scheduler).
+// PRAM-NUMA cost model and shared-memory footprint. When Resolved is true
+// every bound is exact and equals the measured Stats of a real run (on
+// either backend).
 type CostReport = analysis.CostReport
 
 // CostBound is one predicted [Min, Max] interval of a CostReport.
