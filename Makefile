@@ -72,6 +72,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./internal/lang/
 	$(GO) test -fuzz=FuzzAnalyze -fuzztime=30s ./internal/analysis/
 	$(GO) test -fuzz=FuzzCostAnalyze -fuzztime=30s ./internal/analysis/
+	$(GO) test -fuzz=FuzzCostVsMeasured -fuzztime=30s ./internal/analysis/
 	$(GO) test -fuzz=FuzzRestore -fuzztime=30s ./internal/machine/
 
 # lint runs the pinned static checkers on top of go vet (requires network

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"tcfpram/internal/isa"
 	"tcfpram/internal/lang"
 	"tcfpram/internal/sema"
 )
@@ -33,44 +34,27 @@ func foldOp(op lang.TokKind, a, b int64) (int64, bool) {
 	case lang.TokCaret:
 		return a ^ b, true
 	case lang.TokShl:
-		return a << clampShift(b), true
+		return a << isa.ClampShift(b), true
 	case lang.TokShr:
-		return a >> clampShift(b), true
+		return a >> isa.ClampShift(b), true
 	case lang.TokLt:
-		return b2i(a < b), true
+		return isa.B2I(a < b), true
 	case lang.TokLe:
-		return b2i(a <= b), true
+		return isa.B2I(a <= b), true
 	case lang.TokGt:
-		return b2i(a > b), true
+		return isa.B2I(a > b), true
 	case lang.TokGe:
-		return b2i(a >= b), true
+		return isa.B2I(a >= b), true
 	case lang.TokEq:
-		return b2i(a == b), true
+		return isa.B2I(a == b), true
 	case lang.TokNe:
-		return b2i(a != b), true
+		return isa.B2I(a != b), true
 	case lang.TokAndAnd:
-		return b2i(a != 0 && b != 0), true
+		return isa.B2I(a != 0 && b != 0), true
 	case lang.TokOrOr:
-		return b2i(a != 0 || b != 0), true
+		return isa.B2I(a != 0 || b != 0), true
 	}
 	return 0, false
-}
-
-func clampShift(b int64) uint {
-	if b < 0 {
-		return 0
-	}
-	if b > 63 {
-		return 63
-	}
-	return uint(b)
-}
-
-func b2i(b bool) int64 {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 // foldPlain evaluates e when it is built from literals only (no symbol
@@ -103,7 +87,7 @@ func foldUnary(op lang.TokKind, v int64) (int64, bool) {
 	case lang.TokTilde:
 		return ^v, true
 	case lang.TokBang:
-		return b2i(v == 0), true
+		return isa.B2I(v == 0), true
 	}
 	return 0, false
 }
@@ -257,7 +241,7 @@ func (fa *funcAnalysis) classify(e lang.Expr, depth int) idxInfo {
 			// Boolean-valued: at most two distinct values across threads.
 			if x.kind == idxCommon {
 				if x.valKnown {
-					return commonVal(b2i(x.val == 0))
+					return commonVal(isa.B2I(x.val == 0))
 				}
 				return commonAny()
 			}

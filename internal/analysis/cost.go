@@ -202,8 +202,6 @@ func Cost(c *codegen.Compiled, params CostParams) *CostReport {
 		return rep
 	}
 
-	ceil, ceilKnown := staticThickCeiling(c, p.Variant)
-
 	pol, err := variant.PolicyFor(p.Variant)
 	if err != nil {
 		rep.Reason = err.Error()
@@ -221,7 +219,7 @@ func Cost(c *codegen.Compiled, params CostParams) *CostReport {
 		rep.Steps = minOnly(1)
 		rep.Cycles = minOnly(1)
 		rep.InstrFetches = minOnly(1)
-		if ceilKnown {
+		if ceil, ceilKnown := staticThickCeiling(c, p.Variant); ceilKnown {
 			rep.MaxThickness = Bound{Min: 1, Max: ceil}
 		} else {
 			rep.MaxThickness = minOnly(1)
@@ -229,13 +227,16 @@ func Cost(c *codegen.Compiled, params CostParams) *CostReport {
 		return rep
 	}
 
-	ex := newCostExec(c, p, pol, shape)
+	ex := newCostExec(c, p, pol)
 	ex.run(rep)
+	ex.release()
 
-	if !rep.Resolved && ceilKnown && rep.MaxThickness.Max < 0 {
+	if !rep.Resolved && rep.MaxThickness.Max < 0 {
 		// The dataflow ceiling still bounds thickness even when abstract
 		// execution could not finish.
-		rep.MaxThickness.Max = ceil
+		if ceil, ceilKnown := staticThickCeiling(c, p.Variant); ceilKnown {
+			rep.MaxThickness.Max = ceil
+		}
 	}
 	return rep
 }

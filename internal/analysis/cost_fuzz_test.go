@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"tcfpram/internal/analysis"
+	"tcfpram/internal/codegen"
+	"tcfpram/internal/machine"
 	"tcfpram/internal/variant"
 )
 
@@ -55,6 +57,38 @@ func FuzzCostAnalyze(f *testing.F) {
 					t1, lo.Cycles.Min, 2*t1, hi.Cycles.Min)
 			}
 		}
+	})
+}
+
+// FuzzCostVsMeasured holds the analyzer to the engine on programs nobody
+// hand-wrote: whenever a report resolves with no predicted runtime error,
+// the program runs on the interpreter with the same machine shape and
+// every predicted field must equal the measured Stats.
+func FuzzCostVsMeasured(f *testing.F) {
+	for _, path := range append(corpusFiles(f), oracleFiles(f)...) {
+		src, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(string(src))
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		c, err := codegen.CompileSource("fuzz", src)
+		if err != nil {
+			return
+		}
+		p := fuzzParams()
+		rep := analysis.Cost(c, p)
+		// Thickness alone costs the analyzer nothing, but the engine
+		// zero-extends live vectors to it.
+		if !rep.Resolved || rep.Note != "" || rep.MaxThickness.Min > int64(p.MaxConcreteLanes) {
+			return
+		}
+		checkMeasured(t, rep, c, p.Variant, machine.BackendInterp, func(cfg *machine.Config) {
+			// A resolved report ends within MaxSteps; the cap only keeps
+			// a wrong prediction from running away.
+			cfg.MaxSteps = 2 * p.MaxSteps
+		})
 	})
 }
 

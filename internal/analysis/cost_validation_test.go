@@ -145,38 +145,7 @@ func TestCostPredictionsMatchMeasuredStats(t *testing.T) {
 				for _, mode := range laneModes {
 					name := fmt.Sprintf("%s/%s/%v/%s", filepath.Base(path), kind, backend, mode.name)
 					t.Run(name, func(t *testing.T) {
-						st, runErr := measure(t, c, kind, backend, mode.tweak)
-						laneChunks += st.LaneChunks
-						if runErr != nil {
-							// The engine rejected or aborted the program; the
-							// analyzer must have predicted an abnormal stop
-							// (or given up), never a clean resolution.
-							if rep.Resolved && rep.Note == "" {
-								t.Fatalf("engine error %q but analyzer predicted a clean run", runErr)
-							}
-							return
-						}
-						rows := statRows(st)
-						bounds := reportBounds(rep)
-						if rep.Resolved {
-							if rep.Note != "" {
-								t.Fatalf("predicted runtime error %q but the run finished cleanly", rep.Note)
-							}
-							for i, row := range rows {
-								if !bounds[i].Exact() || bounds[i].Min != row.v {
-									t.Errorf("%s: predicted %v, measured %d", row.name, bounds[i], row.v)
-								}
-							}
-							return
-						}
-						// Unresolved predictions must still be sound lower
-						// bounds on the measured run.
-						for i, row := range rows {
-							if bounds[i].Min > row.v {
-								t.Errorf("%s: lower bound %d exceeds measured %d (reason %q)",
-									row.name, bounds[i].Min, row.v, rep.Reason)
-							}
-						}
+						laneChunks += checkMeasured(t, rep, c, kind, backend, mode.tweak)
 					})
 				}
 			}
@@ -184,6 +153,69 @@ func TestCostPredictionsMatchMeasuredStats(t *testing.T) {
 	}
 	if laneChunks == 0 {
 		t.Fatal("lane chunking never engaged in lockstep-parallel mode; the lane axis proved nothing")
+	}
+}
+
+// checkMeasured runs the program on the engine and holds the prediction to
+// it: a resolved report must equal every measured field, an unresolved one
+// must bound each from below, and an engine error must have been
+// predicted. It returns the run's lane-chunk count.
+func checkMeasured(t *testing.T, rep *analysis.CostReport, c *codegen.Compiled, kind variant.Kind, backend machine.Backend, tweak func(*machine.Config)) int64 {
+	t.Helper()
+	st, runErr := measure(t, c, kind, backend, tweak)
+	if runErr != nil {
+		// The engine rejected or aborted the program; the analyzer must
+		// have predicted an abnormal stop (or given up), never a clean
+		// resolution.
+		if rep.Resolved && rep.Note == "" {
+			t.Fatalf("engine error %q but analyzer predicted a clean run", runErr)
+		}
+		return st.LaneChunks
+	}
+	rows := statRows(st)
+	bounds := reportBounds(rep)
+	if rep.Resolved {
+		if rep.Note != "" {
+			t.Fatalf("predicted runtime error %q but the run finished cleanly", rep.Note)
+		}
+		for i, row := range rows {
+			if !bounds[i].Exact() || bounds[i].Min != row.v {
+				t.Errorf("%s: predicted %v, measured %d", row.name, bounds[i], row.v)
+			}
+		}
+		return st.LaneChunks
+	}
+	// Unresolved predictions must still be sound lower bounds on the
+	// measured run.
+	for i, row := range rows {
+		if bounds[i].Min > row.v {
+			t.Errorf("%s: lower bound %d exceeds measured %d (reason %q)",
+				row.name, bounds[i].Min, row.v, rep.Reason)
+		}
+	}
+	return st.LaneChunks
+}
+
+// TestCostShapesMatchMeasuredStats extends the gate to the serve-cold-like
+// shapes and the oracle programs, which drive what the corpus barely
+// touches: prefix write-back into wide registers, stores across page
+// boundaries and NUMA store-to-load forwarding. Every shape must resolve on the reference variant, so the
+// zero tolerance is exercised, not skipped.
+func TestCostShapesMatchMeasuredStats(t *testing.T) {
+	for _, path := range oracleFiles(t) {
+		c := compileCorpus(t, path)
+		for _, kind := range variant.Kinds() {
+			rep := analysis.Cost(c, analysis.DefaultCostParams(kind))
+			if kind == variant.SingleInstruction && !rep.Resolved {
+				t.Errorf("%s: not resolved: %s", filepath.Base(path), rep.Reason)
+			}
+			for _, backend := range []machine.Backend{machine.BackendInterp, machine.BackendFused} {
+				name := fmt.Sprintf("%s/%s/%v", filepath.Base(path), kind, backend)
+				t.Run(name, func(t *testing.T) {
+					checkMeasured(t, rep, c, kind, backend, nil)
+				})
+			}
+		}
 	}
 }
 

@@ -3,9 +3,12 @@ package analysis
 import (
 	"fmt"
 	"slices"
+	"sync"
+	"unsafe"
 
 	"tcfpram/internal/codegen"
 	"tcfpram/internal/isa"
+	"tcfpram/internal/mem"
 	"tcfpram/internal/multiop"
 	"tcfpram/internal/variant"
 )
@@ -30,10 +33,9 @@ import (
 // been spent by any real run reaching that point, because stats accumulate
 // only at the fold/finish boundaries the engine itself commits at.
 
-const (
-	costPageShift = 10 // mirrors internal/mem pageShift
-	costPageWords = 1 << costPageShift
-)
+// costPageWords is the memory system's page size: the footprint counts
+// pages of it, and the abstract memory is stored in pages of it.
+const costPageWords = 1 << mem.PageShift
 
 // costStop aborts abstract execution; run() recovers it into a Min-only
 // report.
@@ -70,7 +72,7 @@ type absFlow struct {
 	home           int
 
 	scalars   [isa.NumSRegs]aval
-	vecs      [isa.NumVRegs]*avec
+	vecs      [isa.NumVRegs]avec
 	callStack []int
 
 	parent       *absFlow
@@ -87,9 +89,10 @@ func (f *absFlow) lanes() int {
 
 func (f *absFlow) scalar(r isa.Reg) aval { return f.scalars[r.Index()] }
 
-// read returns operand r as a w-lane view: scalar registers broadcast,
-// vector registers use the engine's truncate/zero-extend Vector semantics.
-func (f *absFlow) read(r isa.Reg, w, cap int) *avec {
+// read returns operand r of f as a w-lane view: scalar registers
+// broadcast, vector registers use the engine's truncate/zero-extend Vector
+// semantics.
+func (ex *costExec) read(f *absFlow, r isa.Reg, w int) avec {
 	if r.IsScalar() {
 		v := f.scalars[r.Index()]
 		if !v.ok {
@@ -97,18 +100,126 @@ func (f *absFlow) read(r isa.Reg, w, cap int) *avec {
 		}
 		return uniVec(w, v.v)
 	}
-	return viewVec(f.vecs[r.Index()], w, cap)
+	return ex.ar.view(f.vecs[r.Index()], w)
 }
 
 // writeDest stores a w-lane result: scalar destinations take lane 0 (only
-// reachable with w == 1), vector destinations overwrite the low lanes of
-// the backing and keep its tail, as the engine's SetLane loop does.
-func (f *absFlow) writeDest(r isa.Reg, res *avec, cap int) {
+// reachable with w == 1), vector destinations go through setVec.
+func (f *absFlow) writeDest(r isa.Reg, res avec, cap int) {
 	if r.IsScalar() {
 		f.scalars[r.Index()] = res.lane(0)
 		return
 	}
-	f.vecs[r.Index()] = overwriteLow(f.vecs[r.Index()], res, cap)
+	f.setVec(r.Index(), res, cap)
+}
+
+// setVec overwrites the low res.n lanes of vector register idx and keeps
+// the tail of a wider backing, as the engine's SetLane loop does. A
+// concrete result is copied into the register's own buffer, so a register
+// never aliases another register or an arena temporary.
+func (f *absFlow) setVec(idx int, res avec, cap int) {
+	r := &f.vecs[idx]
+	if r.n <= res.n {
+		r.kind, r.n, r.base, r.stride = res.kind, res.n, res.base, res.stride
+		if res.kind == cvConc {
+			copy(r.grow(res.n), res.vals)
+		}
+		return
+	}
+	switch {
+	case res.kind == cvUni && r.kind == cvUni && res.base == r.base,
+		res.kind == cvAff && r.kind == cvAff && res.base == r.base && res.stride == r.stride:
+		// The result continues the backing's closed form: nothing changes.
+	case res.kind == cvUnk || r.kind == cvUnk || r.n > cap:
+		r.kind = cvUnk
+	default:
+		buf := r.toConc(r.n)
+		for i := 0; i < res.n; i++ {
+			buf[i] = res.at(i)
+		}
+	}
+}
+
+// setLane point-updates lane i of vector register idx after growing it to
+// at least lanes lanes (Flow.Vector grows to Lanes() before indexing). The
+// register keeps its closed form while the lane already holds v and is
+// made concrete in its own buffer once otherwise, so a run of updates
+// costs one copy plus O(1) per lane.
+func (f *absFlow) setLane(idx, i, lanes, cap int, v aval) {
+	r := &f.vecs[idx]
+	if n := max(lanes, r.n, i+1); n > r.n {
+		switch {
+		case r.kind == cvUni && r.base == 0, r.kind == cvUnk:
+			r.n = n
+		case n <= cap:
+			r.toConc(n)
+		default:
+			r.kind, r.n = cvUnk, n
+		}
+	}
+	switch {
+	case !v.ok || r.kind == cvUnk:
+		// Unknown lanes poison the whole register conservatively.
+		r.kind = cvUnk
+	case r.kind == cvConc:
+		r.vals[i] = v.v
+	case r.at(i) == v.v:
+	case r.n > cap:
+		r.kind = cvUnk
+	default:
+		r.toConc(r.n)[i] = v.v
+	}
+}
+
+// grow resizes the register's own buffer to n lanes, reallocating only
+// when it is too small, and returns it without initializing it.
+func (r *avec) grow(n int) []int64 {
+	if cap(r.vals) < n {
+		r.vals = make([]int64, n)
+	}
+	r.vals = r.vals[:n]
+	return r.vals
+}
+
+// toConc turns a register of known kind into its concrete image of n >=
+// r.n lanes, zero-extended, in the register's own buffer.
+func (r *avec) toConc(n int) []int64 {
+	old := *r
+	var buf []int64
+	if old.kind == cvConc && cap(old.vals) < n {
+		buf = make([]int64, n)
+		copy(buf, old.vals)
+		r.vals = buf
+	} else {
+		buf = r.grow(n)
+	}
+	if old.kind != cvConc {
+		for i := 0; i < old.n; i++ {
+			buf[i] = old.at(i)
+		}
+	}
+	clear(buf[old.n:])
+	r.kind, r.n = cvConc, n
+	return buf
+}
+
+// recycle zeroes a Done flow for reuse as a new one, keeping its register
+// buffers and call-stack capacity.
+func (f *absFlow) recycle() {
+	vecs, calls := f.vecs, f.callStack[:0]
+	*f = absFlow{callStack: calls}
+	for i := range vecs {
+		f.vecs[i].vals = vecs[i].vals[:0]
+	}
+}
+
+// bufWords is the flow's footprint in 8-byte words, buffers included.
+func (f *absFlow) bufWords() int {
+	n := int(unsafe.Sizeof(*f))/8 + cap(f.callStack)
+	for i := range f.vecs {
+		n += cap(f.vecs[i].vals)
+	}
+	return n
 }
 
 // setThickness mirrors Flow.SetThickness. The engine zero-extends every
@@ -122,27 +233,70 @@ func (f *absFlow) setThickness(t int64) {
 
 // absMem is an abstract word store (shared or group-local). Out-of-range
 // peeks read zero and pokes are dropped, exactly like mem.Shared.Peek/Poke
-// and mem.Local. Once the tracking budget is exceeded or a bulk symbolic
-// write lands, values degrade to unknown — cost accounting stays exact.
+// and mem.Local. At most budget distinct words are tracked: a write to an
+// untracked word past the budget is dropped and marks the store lost, so
+// untracked words read unknown from then on. loseAll (a bulk symbolic
+// write) forgets every word the same way — cost accounting stays exact.
+//
+// Words live in lazily allocated dense pages; each cell records whether it
+// was never written, holds a known value, or holds an unknown one.
 type absMem struct {
-	words  map[int64]aval
+	pages  []*memPage
 	size   int64
 	budget int
+	used   int // cells written since the last loseAll
 	lost   bool
 }
 
-func newAbsMem(size int64, budget int) absMem {
-	return absMem{words: make(map[int64]aval), size: size, budget: budget}
+const (
+	cellFree uint8 = iota
+	cellKnown
+	cellUnknown
+)
+
+type memPage struct {
+	val   [costPageWords]int64
+	state [costPageWords]uint8
+}
+
+// reset empties the store for a new analysis, keeping its pages.
+func (m *absMem) reset(size int64, budget int) {
+	for _, p := range m.pages {
+		if p != nil {
+			clear(p.state[:])
+		}
+	}
+	*m = absMem{pages: m.pages, size: size, budget: budget}
+}
+
+// pageWords is the size of the store's page table and pages in 8-byte
+// words.
+func (m *absMem) pageWords() int {
+	n := len(m.pages)
+	for _, p := range m.pages {
+		if p != nil {
+			n += costPageWords + costPageWords/8
+		}
+	}
+	return n
 }
 
 func (m *absMem) peek(addr int64) aval {
 	if addr < 0 || addr >= m.size {
 		return known(0)
 	}
-	if v, ok := m.words[addr]; ok {
-		return v
+	state := cellFree
+	pg := int(addr >> mem.PageShift)
+	var p *memPage
+	if pg < len(m.pages) {
+		if p = m.pages[pg]; p != nil {
+			state = p.state[addr&(costPageWords-1)]
+		}
 	}
-	if m.lost {
+	switch {
+	case state == cellKnown:
+		return known(p.val[addr&(costPageWords-1)])
+	case state == cellUnknown, m.lost:
 		return unknown
 	}
 	return known(0)
@@ -152,15 +306,40 @@ func (m *absMem) poke(addr int64, v aval) {
 	if addr < 0 || addr >= m.size {
 		return
 	}
-	if _, ok := m.words[addr]; !ok && len(m.words) >= m.budget {
-		m.lost = true
-		return
+	pg := int(addr >> mem.PageShift)
+	var p *memPage
+	if pg < len(m.pages) {
+		p = m.pages[pg]
 	}
-	m.words[addr] = v
+	off := addr & (costPageWords - 1)
+	if p == nil || p.state[off] == cellFree {
+		if m.used >= m.budget {
+			m.lost = true
+			return
+		}
+		m.used++
+	}
+	if p == nil {
+		if pg >= len(m.pages) {
+			m.pages = append(m.pages, make([]*memPage, pg+1-len(m.pages))...)
+		}
+		p = new(memPage)
+		m.pages[pg] = p
+	}
+	if v.ok {
+		p.state[off], p.val[off] = cellKnown, v.v
+	} else {
+		p.state[off] = cellUnknown
+	}
 }
 
 func (m *absMem) loseAll() {
-	clear(m.words)
+	for _, p := range m.pages {
+		if p != nil {
+			clear(p.state[:])
+		}
+	}
+	m.used = 0
 	m.lost = true
 }
 
@@ -217,9 +396,6 @@ type absGroup struct {
 	resident, pending []*absFlow
 	local             absMem
 	cnt               costCounters
-	writes            []absWrite
-	contribs          []absContrib
-	events            []absEvent
 	err               string
 	fwd               map[int64]aval
 	fwdOn             bool
@@ -227,9 +403,6 @@ type absGroup struct {
 
 func (g *absGroup) beginStep() {
 	g.cnt = costCounters{}
-	g.writes = g.writes[:0]
-	g.contribs = g.contribs[:0]
-	g.events = g.events[:0]
 	g.err = ""
 }
 
@@ -265,64 +438,157 @@ type costExec struct {
 	pol   variant.Policy
 	props variant.Properties
 
-	groups []*absGroup
-	flows  []*absFlow
-	nextID int
+	groups    []*absGroup
+	groupBuf  []absGroup
+	nextID    int
+	freeFlows []*absFlow // Done flows compact dropped, for newFlow to reuse
 
-	shared     absMem
-	nmods      int
-	dist       [][]int
+	shared absMem
+	nmods  int
+	// dist is the group-to-module distance, row-major by group.
+	dist       []int
 	moduleRefs []int64
 
 	st       costTotals
 	maxThick int64
 
+	// live and ready count the flows not Done and the Ready ones; every
+	// state change goes through setState to keep them.
+	live, ready int
+
+	// The step's buffered shared writes, combining contributions and
+	// split/join events, appended in group order as the groups run, which
+	// is the engine's merge order.
 	pendingWrites   []absWrite
 	pendingContribs []absContrib
 	stepEvents      []absEvent
+	// stepArms backs the split events' arm lists; growing it leaves the
+	// lists already handed out intact.
+	stepArms []absArm
 
 	conflicts     int64
 	conflictsLost bool
 	// pages is the set of shared pages any flow touched (the footprint);
 	// footLost marks it incomplete.
-	pages    map[int64]struct{}
+	pages    pageSet
 	footLost bool
 
-	concCap  int
+	ar       vecArena
 	laneLeft int64
 }
 
-func newCostExec(c *codegen.Compiled, p CostParams, pol variant.Policy, _ variant.StepShape) *costExec {
-	ex := &costExec{
-		c:        c,
-		prog:     c.Program,
-		p:        p,
-		pol:      pol,
-		props:    pol.Props(),
-		nmods:    p.Groups,
-		pages:    make(map[int64]struct{}),
-		concCap:  p.MaxConcreteLanes,
-		laneLeft: p.MaxLaneWork,
+// pageSet is a set of page numbers as a lazily grown bitset with a count.
+type pageSet struct {
+	bits []uint64
+	n    int64
+}
+
+func (s *pageSet) reset() {
+	clear(s.bits)
+	s.n = 0
+}
+
+func (s *pageSet) add(pg int64) {
+	w := int(pg >> 6)
+	if w >= len(s.bits) {
+		s.bits = append(s.bits, make([]uint64, w+1-len(s.bits))...)
 	}
-	ex.shared = newAbsMem(int64(p.SharedWords), p.MaxTrackedWords)
-	ex.moduleRefs = make([]int64, ex.nmods)
-	ex.dist = make([][]int, p.Groups)
-	for gi := range ex.dist {
-		row := make([]int, ex.nmods)
-		for m := range row {
-			row[m] = p.Topology.Distance(gi, m)
-		}
-		ex.dist[gi] = row
+	if bit := uint64(1) << (pg & 63); s.bits[w]&bit == 0 {
+		s.bits[w] |= bit
+		s.n++
 	}
-	ex.groups = make([]*absGroup, p.Groups)
-	for gi := range ex.groups {
-		ex.groups[gi] = &absGroup{
-			index: gi,
-			local: newAbsMem(int64(p.LocalWords), p.MaxTrackedWords),
-			fwd:   make(map[int64]aval),
+}
+
+// execPool recycles executors between calls: memory pages, flows with
+// their register buffers, the arena and the step buffers are reused, so a
+// warm admission-path analysis allocates little beyond its report.
+var execPool sync.Pool
+
+// maxPooledWords caps the buffer words an executor may hold when it is
+// returned to execPool; a bigger one is left to the garbage collector, so
+// one huge program does not pin its memory.
+const maxPooledWords = 1 << 17
+
+func newCostExec(c *codegen.Compiled, p CostParams, pol variant.Policy) *costExec {
+	ex, _ := execPool.Get().(*costExec)
+	if ex == nil {
+		ex = new(costExec)
+	}
+	old := *ex
+	*ex = costExec{
+		c:               c,
+		prog:            c.Program,
+		p:               p,
+		pol:             pol,
+		props:           pol.Props(),
+		groups:          old.groups[:0],
+		groupBuf:        old.groupBuf,
+		freeFlows:       old.freeFlows,
+		shared:          old.shared,
+		nmods:           p.Groups,
+		dist:            old.dist[:0],
+		moduleRefs:      make([]int64, p.Groups),
+		pendingWrites:   old.pendingWrites[:0],
+		pendingContribs: old.pendingContribs[:0],
+		stepEvents:      old.stepEvents[:0],
+		stepArms:        old.stepArms[:0],
+		pages:           old.pages,
+		ar:              vecArena{cap: p.MaxConcreteLanes, buf: old.ar.buf},
+		laneLeft:        p.MaxLaneWork,
+	}
+	ex.shared.reset(int64(p.SharedWords), p.MaxTrackedWords)
+	ex.pages.reset()
+	for gi := 0; gi < p.Groups; gi++ {
+		for m := 0; m < ex.nmods; m++ {
+			ex.dist = append(ex.dist, p.Topology.Distance(gi, m))
 		}
+	}
+	for i := range ex.groupBuf {
+		g := &ex.groupBuf[i]
+		ex.freeFlows = append(ex.freeFlows, g.resident...)
+		ex.freeFlows = append(ex.freeFlows, g.pending...)
+	}
+	if cap(ex.groupBuf) < p.Groups {
+		ex.groupBuf = make([]absGroup, p.Groups)
+	}
+	ex.groupBuf = ex.groupBuf[:p.Groups]
+	for gi := range ex.groupBuf {
+		g := &ex.groupBuf[gi]
+		g.local.reset(int64(p.LocalWords), p.MaxTrackedWords)
+		*g = absGroup{
+			index: gi, local: g.local, fwd: g.fwd,
+			resident: g.resident[:0], pending: g.pending[:0],
+		}
+		ex.groups = append(ex.groups, g)
 	}
 	return ex
+}
+
+// release returns the executor to execPool unless its buffers outgrew
+// maxPooledWords. The report must not alias anything the executor keeps.
+func (ex *costExec) release() {
+	words := len(ex.ar.buf) + len(ex.pages.bits) + ex.shared.pageWords() +
+		(cap(ex.pendingWrites)*int(unsafe.Sizeof(absWrite{}))+
+			cap(ex.pendingContribs)*int(unsafe.Sizeof(absContrib{}))+
+			cap(ex.stepEvents)*int(unsafe.Sizeof(absEvent{}))+
+			cap(ex.stepArms)*int(unsafe.Sizeof(absArm{})))/8
+	for _, f := range ex.freeFlows {
+		words += f.bufWords()
+	}
+	for i := range ex.groupBuf {
+		g := &ex.groupBuf[i]
+		words += g.local.pageWords()
+		for _, q := range [2][]*absFlow{g.resident, g.pending} {
+			for _, f := range q {
+				words += f.bufWords()
+			}
+		}
+	}
+	if words > maxPooledWords {
+		return
+	}
+	ex.c, ex.prog = nil, nil
+	execPool.Put(ex)
 }
 
 // run drives the abstract machine to completion (or a budget/unknown stop)
@@ -348,7 +614,7 @@ func (ex *costExec) run(rep *CostReport) {
 		}
 		ex.newFlow(entry, int64(bf.Thickness), ex.groups[g])
 	}
-	for ex.liveFlows() > 0 {
+	for ex.live > 0 {
 		if ex.st.steps >= ex.p.MaxSteps {
 			ex.fill(rep, false, fmt.Sprintf("analysis step budget exhausted (%d abstract steps)", ex.p.MaxSteps), "")
 			return
@@ -397,23 +663,30 @@ func (ex *costExec) preload(rep *CostReport) bool {
 }
 
 func (ex *costExec) newFlow(pc int, thickness int64, g *absGroup) *absFlow {
-	f := &absFlow{
-		id: ex.nextID, pc: pc, state: fsReady, mode: amPRAM,
-		thickness: thickness, totalThickness: thickness, bunch: 1,
-		resumePC: -1, home: g.index,
+	var f *absFlow
+	if n := len(ex.freeFlows); n > 0 {
+		f = ex.freeFlows[n-1]
+		ex.freeFlows = ex.freeFlows[:n-1]
+		f.recycle()
+	} else {
+		f = new(absFlow)
 	}
+	f.id, f.pc, f.state, f.mode = ex.nextID, pc, fsReady, amPRAM
+	f.thickness, f.totalThickness, f.bunch = thickness, thickness, 1
+	f.resumePC, f.home = -1, g.index
 	for i := range f.scalars {
 		f.scalars[i] = known(0)
 	}
 	ex.nextID++
-	ex.flows = append(ex.flows, f)
+	ex.live++
+	ex.ready++
 	if len(g.resident) < ex.p.ProcsPerGroup {
 		g.resident = append(g.resident, f)
 	} else {
 		g.pending = append(g.pending, f)
 	}
 	ex.st.flowsCreated++
-	if live := int64(ex.liveFlows()); live > ex.st.maxLiveFlows {
+	if live := int64(ex.live); live > ex.st.maxLiveFlows {
 		ex.st.maxLiveFlows = live
 	}
 	if thickness > ex.maxThick {
@@ -422,29 +695,31 @@ func (ex *costExec) newFlow(pc int, thickness int64, g *absGroup) *absFlow {
 	return f
 }
 
-func (ex *costExec) liveFlows() int {
-	n := 0
-	for _, f := range ex.flows {
-		if f.state != fsDone {
-			n++
-		}
+// setState moves f to state s, keeping the live and ready counts. Done is
+// final.
+func (ex *costExec) setState(f *absFlow, s flowState) {
+	if f.state == fsReady {
+		ex.ready--
 	}
-	return n
+	if s == fsReady {
+		ex.ready++
+	}
+	if s == fsDone && f.state != fsDone {
+		ex.live--
+	}
+	f.state = s
 }
 
-func (ex *costExec) anyReady() bool {
-	for _, f := range ex.flows {
-		if f.state == fsReady {
-			return true
-		}
-	}
-	return false
-}
-
+// releaseBarriers readies every Blocked flow. Every live flow sits in
+// some group's storage buffer, resident or pending.
 func (ex *costExec) releaseBarriers() {
-	for _, f := range ex.flows {
-		if f.state == fsBlocked {
-			f.state = fsReady
+	for _, g := range ex.groups {
+		for _, q := range [2][]*absFlow{g.resident, g.pending} {
+			for _, f := range q {
+				if f.state == fsBlocked {
+					ex.setState(f, fsReady)
+				}
+			}
 		}
 	}
 }
@@ -458,6 +733,7 @@ func (ex *costExec) runStep() string {
 	ex.pendingWrites = ex.pendingWrites[:0]
 	ex.pendingContribs = ex.pendingContribs[:0]
 	ex.stepEvents = ex.stepEvents[:0]
+	ex.stepArms = ex.stepArms[:0]
 	for _, g := range ex.groups {
 		g.beginStep()
 		ex.runGroup(g)
@@ -476,7 +752,7 @@ func (ex *costExec) runStep() string {
 	s0 := ex.st.switchCycles
 	ex.compact()
 	stepCycles += ex.st.switchCycles - s0
-	if !ex.anyReady() {
+	if ex.ready == 0 {
 		ex.releaseBarriers()
 	}
 	if stepCycles == 0 {
@@ -484,7 +760,7 @@ func (ex *costExec) runStep() string {
 	}
 	ex.st.cycles += stepCycles
 	ex.st.steps++
-	if ex.liveFlows() > 0 && !ex.anyReady() {
+	if ex.live > 0 && ex.ready == 0 {
 		return "deadlock: no flow is runnable"
 	}
 	return ""
@@ -525,9 +801,9 @@ func (ex *costExec) halt(g *absGroup, f *absFlow) {
 	if f.state == fsDone {
 		return
 	}
-	f.state = fsDone
+	ex.setState(f, fsDone)
 	if f.parent != nil {
-		g.events = append(g.events, absEvent{kind: aevChildDone, flow: f})
+		ex.stepEvents = append(ex.stepEvents, absEvent{kind: aevChildDone, flow: f})
 	}
 }
 
@@ -568,6 +844,9 @@ func (ex *costExec) execWhole(g *absGroup, f *absFlow, in isa.Instr) {
 // consecutive instructions with store-to-load forwarding, mode changes and
 // combining operations ending the bunch.
 func (ex *costExec) execBunch(g *absGroup, f *absFlow) {
+	if g.fwd == nil {
+		g.fwd = make(map[int64]aval)
+	}
 	clear(g.fwd)
 	g.fwdOn = true
 	defer func() { g.fwdOn = false }()
@@ -609,10 +888,11 @@ func (ex *costExec) execBunch(g *absGroup, f *absFlow) {
 // Lanes()-truncated source vector; PRINT/PRINTS/NOP cost nothing beyond
 // the caller's op accounting; everything else is single-lane semantics.
 func (ex *costExec) execAtomic(g *absGroup, f *absFlow, in isa.Instr) {
+	ex.ar.reset()
 	switch {
 	case in.Op.IsReduction():
-		v := f.read(in.Ra, f.lanes(), ex.concCap)
-		f.scalars[in.Rd.Index()] = reduceVec(in.Op.CombineKind(), v, ex.concCap)
+		v := ex.read(f, in.Ra, f.lanes())
+		f.scalars[in.Rd.Index()] = reduceVec(in.Op.CombineKind(), v, ex.ar.cap)
 	case in.Op == isa.PRINT, in.Op == isa.PRINTS, in.Op == isa.NOP:
 		// Program output does not feed back into cost.
 	default:
@@ -624,24 +904,23 @@ func (ex *costExec) execLanes(g *absGroup, f *absFlow, in isa.Instr, w, seq int)
 	if w == 0 {
 		return
 	}
-	cap := ex.concCap
+	ex.ar.reset()
+	cap := ex.ar.cap
 	op := in.Op
 	switch {
 	case op == isa.LDI:
 		f.writeDest(in.Rd, uniVec(w, in.Imm), cap)
 	case op == isa.MOV, op == isa.NEG, op == isa.NOT:
-		f.writeDest(in.Rd, unaryVec(op, f.read(in.Ra, w, cap), cap), cap)
+		f.writeDest(in.Rd, ex.ar.unary(op, ex.read(f, in.Ra, w)), cap)
 	case op.IsBinaryALU():
-		a := f.read(in.Ra, w, cap)
-		var b *avec
-		if in.HasImm {
-			b = uniVec(w, in.Imm)
-		} else {
-			b = f.read(in.Rb, w, cap)
+		a := ex.read(f, in.Ra, w)
+		b := uniVec(w, in.Imm)
+		if !in.HasImm {
+			b = ex.read(f, in.Rb, w)
 		}
-		f.writeDest(in.Rd, aluVec(op, a, b, cap), cap)
+		f.writeDest(in.Rd, ex.ar.alu(op, a, b), cap)
 	case op == isa.SEL:
-		f.writeDest(in.Rd, selVec(f.read(in.Ra, w, cap), f.read(in.Rb, w, cap), f.read(in.Rc, w, cap), cap), cap)
+		f.writeDest(in.Rd, ex.ar.sel(ex.read(f, in.Ra, w), ex.read(f, in.Rb, w), ex.read(f, in.Rc, w)), cap)
 	case op == isa.TID:
 		if f.mode == amNUMA {
 			f.writeDest(in.Rd, uniVec(w, 0), cap)
@@ -663,11 +942,11 @@ func (ex *costExec) execLanes(g *absGroup, f *absFlow, in isa.Instr, w, seq int)
 	case op == isa.LD:
 		f.writeDest(in.Rd, ex.doLoad(g, f, ex.addrVec(f, in, w), w), cap)
 	case op == isa.ST:
-		ex.doStore(g, f, ex.addrVec(f, in, w), f.read(in.Rb, w, cap), w, seq)
+		ex.doStore(g, f, ex.addrVec(f, in, w), ex.read(f, in.Rb, w), w, seq)
 	case op == isa.LDL:
 		f.writeDest(in.Rd, ex.doLocalLoad(g, ex.addrVec(f, in, w), w), cap)
 	case op == isa.STL:
-		ex.doLocalStore(g, ex.addrVec(f, in, w), f.read(in.Rb, w, cap), w)
+		ex.doLocalStore(g, ex.addrVec(f, in, w), ex.read(f, in.Rb, w), w)
 	case op.IsMultiop(), op.IsMultiprefix():
 		ex.doCombine(g, f, in, w, seq)
 	default:
@@ -676,11 +955,11 @@ func (ex *costExec) execLanes(g *absGroup, f *absFlow, in isa.Instr, w, seq int)
 }
 
 // addrVec is effAddr over all w lanes: Imm alone, or base register plus Imm.
-func (ex *costExec) addrVec(f *absFlow, in isa.Instr, w int) *avec {
+func (ex *costExec) addrVec(f *absFlow, in isa.Instr, w int) avec {
 	if in.Ra == isa.RegNone {
 		return uniVec(w, in.Imm)
 	}
-	return aluVec(isa.ADD, f.read(in.Ra, w, ex.concCap), uniVec(w, in.Imm), ex.concCap)
+	return ex.ar.alu(isa.ADD, ex.read(f, in.Ra, w), uniVec(w, in.Imm))
 }
 
 // moduleOf mirrors mem.HomeModuleOf (identity remap: no fault plans here).
@@ -697,7 +976,7 @@ func (ex *costExec) moduleOf(addr int64) int {
 func (ex *costExec) noteSharedN(g *absGroup, addr, n int64, numa bool) {
 	mod := ex.moduleOf(addr)
 	ex.moduleRefs[mod] += n
-	d := ex.dist[g.index][mod]
+	d := ex.dist[g.index*ex.nmods+mod]
 	if numa {
 		g.cnt.stall += n * int64(ex.p.MemLatencyBase+d)
 	} else {
@@ -726,7 +1005,7 @@ func (ex *costExec) noteSharedBulk(g *absGroup, base, stride int64, w int, numa 
 			cnt++
 		}
 		if cnt > 0 {
-			d := ex.dist[g.index][cur]
+			d := ex.dist[g.index*ex.nmods+cur]
 			ex.moduleRefs[cur] += cnt
 			if numa {
 				g.cnt.stall += cnt * int64(ex.p.MemLatencyBase+d)
@@ -745,7 +1024,7 @@ func (ex *costExec) notePage(addr int64) {
 	if addr < 0 || addr >= int64(ex.p.SharedWords) {
 		return
 	}
-	ex.pages[addr>>costPageShift] = struct{}{}
+	ex.pages.add(addr >> mem.PageShift)
 }
 
 // notePageBulk records the page span of a non-wrapping affine sequence.
@@ -783,13 +1062,13 @@ func (ex *costExec) notePageBulk(base, stride int64, w int) {
 		ex.footLost = true
 		return
 	}
-	loPg, hiPg := lo>>costPageShift, hi>>costPageShift
+	loPg, hiPg := lo>>mem.PageShift, hi>>mem.PageShift
 	if hiPg-loPg+1 > 1<<16 {
 		ex.footLost = true
 		return
 	}
 	for pg := loPg; pg <= hiPg; pg++ {
-		ex.pages[pg] = struct{}{}
+		ex.pages.add(pg)
 	}
 }
 
@@ -804,14 +1083,24 @@ func affNoWrap(base, stride int64, w int) bool {
 	return ok
 }
 
-func avalVec(w int, v aval) *avec {
+func avalVec(w int, v aval) avec {
 	if v.ok {
 		return uniVec(w, v.v)
 	}
 	return unkVec(w)
 }
 
-func (ex *costExec) doLoad(g *absGroup, f *absFlow, av *avec, w int) *avec {
+// forwarded is the value a NUMA bunch stored at addr earlier in the same
+// bunch, if any.
+func (g *absGroup) forwarded(addr int64) (aval, bool) {
+	if !g.fwdOn {
+		return aval{}, false
+	}
+	v, ok := g.fwd[addr]
+	return v, ok
+}
+
+func (ex *costExec) doLoad(g *absGroup, f *absFlow, av avec, w int) avec {
 	numa := f.mode == amNUMA
 	switch av.kind {
 	case cvUni:
@@ -819,33 +1108,25 @@ func (ex *costExec) doLoad(g *absGroup, f *absFlow, av *avec, w int) *avec {
 		g.cnt.sharedReads += int64(w)
 		ex.noteSharedN(g, addr, int64(w), numa)
 		ex.notePage(addr)
-		if g.fwdOn {
-			if fv, ok := g.fwd[addr]; ok {
-				return avalVec(w, fv)
-			}
+		if fv, ok := g.forwarded(addr); ok {
+			return avalVec(w, fv)
 		}
 		return avalVec(w, ex.shared.peek(addr))
 	case cvAff, cvConc:
-		if w <= ex.concCap {
-			addrs := av.materialize(ex.concCap)
-			vals := make([]int64, w)
+		if w <= ex.ar.cap {
+			vals := ex.ar.alloc(w)
 			allKnown := true
-			for i := 0; i < w; i++ {
-				a := addrs[i]
+			for i := range vals {
+				a := av.at(i)
 				g.cnt.sharedReads++
 				ex.noteSharedN(g, a, 1, numa)
 				ex.notePage(a)
 				pv := ex.shared.peek(a)
-				if g.fwdOn {
-					if fv, ok := g.fwd[a]; ok {
-						pv = fv
-					}
+				if fv, ok := g.forwarded(a); ok {
+					pv = fv
 				}
-				if !pv.ok {
-					allKnown = false
-				} else {
-					vals[i] = pv.v
-				}
+				vals[i] = pv.v
+				allKnown = allKnown && pv.ok
 			}
 			if allKnown {
 				return concVec(vals)
@@ -865,7 +1146,7 @@ func (ex *costExec) doLoad(g *absGroup, f *absFlow, av *avec, w int) *avec {
 	panic(costStop{fmt.Sprintf("unresolved shared-memory load address (pc %d)", f.pc)})
 }
 
-func (ex *costExec) doStore(g *absGroup, f *absFlow, av, bv *avec, w, seq int) {
+func (ex *costExec) doStore(g *absGroup, f *absFlow, av, bv avec, w, seq int) {
 	numa := f.mode == amNUMA
 	inRange := func(a int64) bool { return a >= 0 && a < int64(ex.p.SharedWords) }
 	switch av.kind {
@@ -875,7 +1156,7 @@ func (ex *costExec) doStore(g *absGroup, f *absFlow, av, bv *avec, w, seq int) {
 		ex.noteSharedN(g, addr, int64(w), numa)
 		ex.notePage(addr)
 		if inRange(addr) {
-			g.writes = append(g.writes, absWrite{
+			ex.pendingWrites = append(ex.pendingWrites, absWrite{
 				addr: addr, val: bv.lane(0), flow: f.id, thread: 0, seq: seq, count: int64(w),
 			})
 		}
@@ -884,15 +1165,14 @@ func (ex *costExec) doStore(g *absGroup, f *absFlow, av, bv *avec, w, seq int) {
 		}
 		return
 	case cvAff, cvConc:
-		if w <= ex.concCap {
-			addrs := av.materialize(ex.concCap)
+		if w <= ex.ar.cap {
 			for i := 0; i < w; i++ {
-				a := addrs[i]
+				a := av.at(i)
 				g.cnt.sharedWrites++
 				ex.noteSharedN(g, a, 1, numa)
 				ex.notePage(a)
 				if inRange(a) {
-					g.writes = append(g.writes, absWrite{
+					ex.pendingWrites = append(ex.pendingWrites, absWrite{
 						addr: a, val: bv.lane(i), flow: f.id, thread: i, seq: seq, count: 1,
 					})
 				}
@@ -920,17 +1200,16 @@ func (ex *costExec) doStore(g *absGroup, f *absFlow, av, bv *avec, w, seq int) {
 	panic(costStop{fmt.Sprintf("unresolved shared-memory store address (pc %d)", f.pc)})
 }
 
-func (ex *costExec) doLocalLoad(g *absGroup, av *avec, w int) *avec {
+func (ex *costExec) doLocalLoad(g *absGroup, av avec, w int) avec {
 	g.cnt.localReads += int64(w)
 	switch av.kind {
 	case cvUni:
 		return avalVec(w, g.local.peek(av.base))
 	case cvAff, cvConc:
-		if w <= ex.concCap {
-			addrs := av.materialize(ex.concCap)
-			vals := make([]int64, w)
-			for i := 0; i < w; i++ {
-				pv := g.local.peek(addrs[i])
+		if w <= ex.ar.cap {
+			vals := ex.ar.alloc(w)
+			for i := range vals {
+				pv := g.local.peek(av.at(i))
 				if !pv.ok {
 					return unkVec(w)
 				}
@@ -944,7 +1223,7 @@ func (ex *costExec) doLocalLoad(g *absGroup, av *avec, w int) *avec {
 	return unkVec(w)
 }
 
-func (ex *costExec) doLocalStore(g *absGroup, av, bv *avec, w int) {
+func (ex *costExec) doLocalStore(g *absGroup, av, bv avec, w int) {
 	g.cnt.localWrites += int64(w)
 	switch av.kind {
 	case cvUni:
@@ -952,10 +1231,9 @@ func (ex *costExec) doLocalStore(g *absGroup, av, bv *avec, w int) {
 		g.local.poke(av.base, bv.lane(w-1))
 		return
 	case cvAff, cvConc:
-		if w <= ex.concCap {
-			addrs := av.materialize(ex.concCap)
+		if w <= ex.ar.cap {
 			for i := 0; i < w; i++ {
-				g.local.poke(addrs[i], bv.lane(i))
+				g.local.poke(av.at(i), bv.lane(i))
 			}
 			return
 		}
@@ -964,20 +1242,19 @@ func (ex *costExec) doLocalStore(g *absGroup, av, bv *avec, w int) {
 }
 
 func (ex *costExec) doCombine(g *absGroup, f *absFlow, in isa.Instr, w, seq int) {
-	if w > ex.concCap {
+	if w > ex.ar.cap {
 		panic(costStop{"combining traffic exceeds the analysis lane budget"})
 	}
 	av := ex.addrVec(f, in, w)
-	addrs := av.materialize(ex.concCap)
-	if addrs == nil {
+	if av.kind == cvUnk {
 		panic(costStop{fmt.Sprintf("unresolved combining address (pc %d)", f.pc)})
 	}
 	numa := f.mode == amNUMA
-	bv := f.read(in.Rb, w, ex.concCap)
+	bv := ex.read(f, in.Rb, w)
 	kind := in.Op.CombineKind()
 	want := in.Op.IsMultiprefix()
 	for i := 0; i < w; i++ {
-		a := addrs[i]
+		a := av.at(i)
 		g.cnt.multiopRefs++
 		ex.noteSharedN(g, a, 1, numa)
 		ex.notePage(a)
@@ -985,7 +1262,7 @@ func (ex *costExec) doCombine(g *absGroup, f *absFlow, in isa.Instr, w, seq int)
 		if want {
 			c.wantPrefix, c.rd, c.rflow = true, in.Rd, f
 		}
-		g.contribs = append(g.contribs, c)
+		ex.pendingContribs = append(ex.pendingContribs, c)
 	}
 }
 
@@ -1070,7 +1347,7 @@ func (ex *costExec) applyControl(g *absGroup, f *absFlow, in isa.Instr) {
 			g.fail(fmt.Sprintf("SPLIT: variant %s has no control parallelism", ex.pol.Kind()))
 			return
 		}
-		arms := make([]absArm, 0, len(in.Arms))
+		first := len(ex.stepArms)
 		for _, a := range in.Arms {
 			t := known(a.ThickImm)
 			if a.Thick != isa.RegNone {
@@ -1087,14 +1364,15 @@ func (ex *costExec) applyControl(g *absGroup, f *absFlow, in isa.Instr) {
 				g.fail(fmt.Sprintf("thickness %d exceeds limit %d", t.v, ex.p.MaxThickness))
 				return
 			}
-			arms = append(arms, absArm{thick: t.v, pc: a.Target})
+			ex.stepArms = append(ex.stepArms, absArm{thick: t.v, pc: a.Target})
 		}
-		f.state = fsWaiting
+		arms := ex.stepArms[first:len(ex.stepArms):len(ex.stepArms)]
+		ex.setState(f, fsWaiting)
 		f.resumePC = f.pc + 1
 		f.liveChildren = len(arms)
-		g.events = append(g.events, absEvent{kind: aevSplit, flow: f, arms: arms})
+		ex.stepEvents = append(ex.stepEvents, absEvent{kind: aevSplit, flow: f, arms: arms})
 	case isa.BAR:
-		f.state = fsBlocked
+		ex.setState(f, fsBlocked)
 		f.pc++
 		g.cnt.barriers++
 	case isa.JOIN, isa.HALT:
@@ -1131,9 +1409,6 @@ func (ex *costExec) fold(g *absGroup, stepCycles *int64) {
 	t.overhead += overhead
 	t.stall += c.stall
 	t.barriers += c.barriers
-	ex.pendingWrites = append(ex.pendingWrites, g.writes...)
-	ex.pendingContribs = append(ex.pendingContribs, g.contribs...)
-	ex.stepEvents = append(ex.stepEvents, g.events...)
 }
 
 func applyAval(kind isa.Op, a, b aval) aval {
@@ -1143,24 +1418,29 @@ func applyAval(kind isa.Op, a, b aval) aval {
 	return known(multiop.Apply(kind, a.v, b.v))
 }
 
+// combineOrder is the fixed order in which the engine resolves combining
+// operations, kind by kind.
+var combineOrder = [...]isa.Op{isa.ADD, isa.AND, isa.OR, isa.MAX, isa.MIN}
+
+func combineRank(kind isa.Op) int {
+	for r, k := range combineOrder {
+		if k == kind {
+			return r
+		}
+	}
+	return len(combineOrder)
+}
+
 // commit mirrors the end-of-step memory resolution: buffered writes
 // arbitrate lowest-key-first per address, then combining contributions
 // resolve kind by kind in the engine's fixed order, routing prefix values
 // back into participant registers.
 func (ex *costExec) commit() {
 	ws := ex.pendingWrites
-	slices.SortFunc(ws, func(a, b absWrite) int {
-		switch {
-		case a.addr != b.addr:
-			return cmp64(a.addr, b.addr)
-		case a.flow != b.flow:
-			return a.flow - b.flow
-		case a.thread != b.thread:
-			return a.thread - b.thread
-		default:
-			return a.seq - b.seq
-		}
-	})
+	// Thick stores append in ascending order more often than not.
+	if !slices.IsSortedFunc(ws, cmpWrite) {
+		slices.SortFunc(ws, cmpWrite)
+	}
 	for i := 0; i < len(ws); {
 		j := i + 1
 		weight := ws[i].count
@@ -1172,43 +1452,49 @@ func (ex *costExec) commit() {
 		ex.conflicts += weight - 1
 		i = j
 	}
-	for _, kind := range []isa.Op{isa.ADD, isa.AND, isa.OR, isa.MAX, isa.MIN} {
-		var cs []absContrib
-		for _, c := range ex.pendingContribs {
-			if c.kind == kind {
-				cs = append(cs, c)
-			}
+	// One sort with the kind's resolution rank as the leading key visits
+	// the contributions in exactly the engine's kind-by-kind order.
+	cs := ex.pendingContribs
+	slices.SortFunc(cs, func(a, b absContrib) int {
+		switch {
+		case a.kind != b.kind:
+			return combineRank(a.kind) - combineRank(b.kind)
+		case a.addr != b.addr:
+			return cmp64(a.addr, b.addr)
+		case a.flow != b.flow:
+			return a.flow - b.flow
+		case a.thread != b.thread:
+			return a.thread - b.thread
+		default:
+			return a.seq - b.seq
 		}
-		if len(cs) == 0 {
-			continue
-		}
-		slices.SortFunc(cs, func(a, b absContrib) int {
-			switch {
-			case a.addr != b.addr:
-				return cmp64(a.addr, b.addr)
-			case a.flow != b.flow:
-				return a.flow - b.flow
-			case a.thread != b.thread:
-				return a.thread - b.thread
-			default:
-				return a.seq - b.seq
+	})
+	for i := 0; i < len(cs); {
+		kind, addr := cs[i].kind, cs[i].addr
+		acc := ex.shared.peek(addr)
+		j := i
+		for ; j < len(cs) && cs[j].kind == kind && cs[j].addr == addr; j++ {
+			c := &cs[j]
+			if c.wantPrefix {
+				c.rflow.setLane(c.rd.Index(), c.thread, c.rflow.lanes(), ex.ar.cap, acc)
 			}
-		})
-		for i := 0; i < len(cs); {
-			addr := cs[i].addr
-			acc := ex.shared.peek(addr)
-			j := i
-			for ; j < len(cs) && cs[j].addr == addr; j++ {
-				c := cs[j]
-				if c.wantPrefix {
-					idx := c.rd.Index()
-					c.rflow.vecs[idx] = setLaneVec(c.rflow.vecs[idx], c.thread, c.rflow.lanes(), ex.concCap, acc)
-				}
-				acc = applyAval(kind, acc, c.val)
-			}
-			ex.shared.poke(addr, acc)
-			i = j
+			acc = applyAval(kind, acc, c.val)
 		}
+		ex.shared.poke(addr, acc)
+		i = j
+	}
+}
+
+func cmpWrite(a, b absWrite) int {
+	switch {
+	case a.addr != b.addr:
+		return cmp64(a.addr, b.addr)
+	case a.flow != b.flow:
+		return a.flow - b.flow
+	case a.thread != b.thread:
+		return a.thread - b.thread
+	default:
+		return a.seq - b.seq
 	}
 }
 
@@ -1235,12 +1521,12 @@ func (ex *costExec) retireEvents() {
 			ex.st.joins++
 			if parent.liveChildren == 0 && parent.state == fsWaiting {
 				if parent.resumePC < 0 {
-					parent.state = fsDone
+					ex.setState(parent, fsDone)
 					if parent.parent != nil {
 						ex.stepEvents = append(ex.stepEvents, absEvent{kind: aevChildDone, flow: parent})
 					}
 				} else {
-					parent.state = fsReady
+					ex.setState(parent, fsReady)
 					parent.pc = parent.resumePC
 				}
 			}
@@ -1277,6 +1563,12 @@ func (ex *costExec) compact() {
 		for _, f := range g.resident {
 			if f.state != fsDone {
 				kept = append(kept, f)
+			} else {
+				// Nothing reaches a dropped Done flow any more: its
+				// events and prefix write-backs resolved this step, and
+				// its children, all Done, never follow their parent link
+				// again.
+				ex.freeFlows = append(ex.freeFlows, f)
 			}
 		}
 		g.resident = kept
@@ -1345,7 +1637,7 @@ func (ex *costExec) fill(rep *CostReport, resolved bool, reason, note string) {
 	rep.MaxLiveFlows = mk(t.maxLiveFlows)
 	rep.MaxThickness = mk(ex.maxThick)
 
-	rep.WordsPerModule = append([]int64(nil), ex.moduleRefs...)
+	rep.WordsPerModule = ex.moduleRefs
 	if resolved && !ex.conflictsLost {
 		rep.WriteConflicts = exactBound(ex.conflicts)
 	} else {
@@ -1353,8 +1645,8 @@ func (ex *costExec) fill(rep *CostReport, resolved bool, reason, note string) {
 	}
 
 	if resolved && !ex.footLost {
-		rep.FootprintPages = exactBound(int64(len(ex.pages)))
+		rep.FootprintPages = exactBound(ex.pages.n)
 	} else {
-		rep.FootprintPages = minOnly(int64(len(ex.pages)))
+		rep.FootprintPages = minOnly(ex.pages.n)
 	}
 }

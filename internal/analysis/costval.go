@@ -20,7 +20,12 @@ import (
 //
 // Affine forms are exact under two's-complement wraparound: ADD/SUB/MUL-
 // by-uniform/SHL-by-uniform are ring operations mod 2^64, so the closed
-// forms match the engine's aluEval lane for lane.
+// forms match the engine's isa.Eval lane for lane.
+//
+// Vectors are values, not heap objects. A cvConc image either belongs to a
+// flow register (absFlow.setVec copies into the register's own buffer) or
+// is a temporary from the executor's vecArena, valid until the next
+// instruction; operand views alias one or the other read-only.
 
 // aval is a scalar abstract value.
 type aval struct {
@@ -44,79 +49,82 @@ const (
 // avec is a vector abstract value covering exactly n lanes. The flow
 // register file stores the full backing image (the engine's Flow.Vector
 // backing); views of other lengths are derived with the engine's
-// zero-extension semantics.
+// zero-extension semantics. The zero avec is an empty all-zero vector, a
+// register nothing has written.
 type avec struct {
 	kind vkind
 	n    int
-	// base/stride describe cvUni (stride unused) and cvAff lanes.
+	// base/stride describe cvUni (stride always 0) and cvAff lanes.
 	base, stride int64
-	// vals is the cvConc per-lane image.
+	// vals is the cvConc per-lane image. In a flow register it is the
+	// register's own buffer, kept across kinds for reuse.
 	vals []int64
 }
 
-func uniVec(n int, v int64) *avec { return &avec{kind: cvUni, n: n, base: v} }
-func unkVec(n int) *avec          { return &avec{kind: cvUnk, n: n} }
-func concVec(vals []int64) *avec  { return &avec{kind: cvConc, n: len(vals), vals: vals} }
-func affVec(n int, b, s int64) *avec {
+func uniVec(n int, v int64) avec { return avec{kind: cvUni, n: n, base: v} }
+func unkVec(n int) avec          { return avec{kind: cvUnk, n: n} }
+func concVec(vals []int64) avec  { return avec{kind: cvConc, n: len(vals), vals: vals} }
+func affVec(n int, b, s int64) avec {
 	if s == 0 {
 		return uniVec(n, b)
 	}
-	return &avec{kind: cvAff, n: n, base: b, stride: s}
+	return avec{kind: cvAff, n: n, base: b, stride: s}
 }
 
 // lane reads lane i with the engine's semantics: indices beyond the
 // representation read as zero (laneVal on a shorter backing).
 func (v *avec) lane(i int) aval {
-	if v == nil || i >= v.n {
+	if i >= v.n {
 		return known(0)
 	}
-	switch v.kind {
-	case cvUni:
-		return known(v.base)
-	case cvAff:
-		return known(v.base + int64(i)*v.stride)
-	case cvConc:
-		return known(v.vals[i])
+	if v.kind == cvUnk {
+		return unknown
 	}
-	return unknown
+	return known(v.at(i))
 }
 
-// materialize returns a concrete lane image, or nil when the vector holds
-// unknown lanes or exceeds the cap.
-func (v *avec) materialize(cap int) []int64 {
-	if v == nil {
-		return []int64{}
+// at is lane i < n of a vector of known kind.
+func (v *avec) at(i int) int64 {
+	if v.kind == cvConc {
+		return v.vals[i]
 	}
-	if v.n > cap {
-		return nil
-	}
-	switch v.kind {
-	case cvConc:
-		return v.vals
-	case cvUni:
-		out := make([]int64, v.n)
-		for i := range out {
-			out[i] = v.base
-		}
-		return out
-	case cvAff:
-		out := make([]int64, v.n)
-		for i := range out {
-			out[i] = v.base + int64(i)*v.stride
-		}
-		return out
-	}
-	return nil
+	return v.base + int64(i)*v.stride
 }
 
-// viewVec derives an n-lane view of backing b: truncation keeps the low
-// lanes, extension appends zeros (exactly Flow.Vector's lazy grow).
-func viewVec(b *avec, n, cap int) *avec {
+// concrete reports whether the vector's lanes can be enumerated: its kind
+// is known and it is within the materialization cap.
+func (v *avec) concrete(cap int) bool { return v.kind != cvUnk && v.n <= cap }
+
+// vecArena hands out the temporary lane images of one instruction. reset
+// recycles them all, so it runs only between instructions, when no
+// temporary is live: results that survive are copied into flow registers.
+// Growing starts a fresh, larger chunk; slices already handed out stay
+// valid until the next reset.
+type vecArena struct {
+	cap  int // MaxConcreteLanes
+	buf  []int64
+	used int
+}
+
+func (ar *vecArena) reset() { ar.used = 0 }
+
+// alloc returns n lanes of uninitialized scratch.
+func (ar *vecArena) alloc(n int) []int64 {
+	if ar.used+n > len(ar.buf) {
+		size := max(2*len(ar.buf), n, 64)
+		ar.buf = make([]int64, size)
+		ar.used = 0
+	}
+	out := ar.buf[ar.used : ar.used+n : ar.used+n]
+	ar.used += n
+	return out
+}
+
+// view derives an n-lane view of backing b: truncation keeps the low lanes,
+// extension appends zeros (exactly Flow.Vector's lazy grow).
+func (ar *vecArena) view(b avec, n int) avec {
 	if n < 0 {
 		n = 0
-	}
-	if b == nil {
-		return uniVec(n, 0)
 	}
 	if b.n == n {
 		return b
@@ -133,165 +141,33 @@ func viewVec(b *avec, n, cap int) *avec {
 		return unkVec(n)
 	}
 	// Extension with zeros.
-	switch {
-	case b.kind == cvUni && b.base == 0:
+	if b.kind == cvUni && b.base == 0 {
 		return uniVec(n, 0)
-	case b.kind == cvUnk:
+	}
+	if b.kind == cvUnk || n > ar.cap {
 		return unkVec(n)
 	}
-	if vals := b.materialize(cap); vals != nil && n <= cap {
-		out := make([]int64, n)
-		copy(out, vals)
-		return concVec(out)
+	out := ar.alloc(n)
+	for i := 0; i < b.n; i++ {
+		out[i] = b.at(i)
 	}
-	return unkVec(n)
-}
-
-// tailVec is the lanes [from, b.n) of b.
-func tailVec(b *avec, from int) *avec {
-	switch b.kind {
-	case cvUni:
-		return uniVec(b.n-from, b.base)
-	case cvAff:
-		return affVec(b.n-from, b.base+int64(from)*b.stride, b.stride)
-	case cvConc:
-		return concVec(b.vals[from:])
-	}
-	return unkVec(b.n - from)
-}
-
-// overwriteLow replaces the low nv.n lanes of backing old with nv, keeping
-// old's tail — the engine's SetLane loop over a wider backing.
-func overwriteLow(old, nv *avec, cap int) *avec {
-	if old == nil || old.n <= nv.n {
-		return nv
-	}
-	tail := tailVec(old, nv.n)
-	if nv.kind == cvUni && tail.kind == cvUni && nv.base == tail.base {
-		return uniVec(old.n, nv.base)
-	}
-	if nv.kind == cvAff && tail.kind == cvAff && nv.stride == tail.stride &&
-		tail.base == nv.base+int64(nv.n)*nv.stride {
-		return affVec(old.n, nv.base, nv.stride)
-	}
-	hv, tv := nv.materialize(cap), tail.materialize(cap)
-	if hv == nil || tv == nil || old.n > cap {
-		return unkVec(old.n)
-	}
-	out := make([]int64, 0, old.n)
-	out = append(out, hv...)
-	out = append(out, tv...)
+	clear(out[b.n:])
 	return concVec(out)
 }
 
-// setLaneVec point-updates lane i of backing b after growing it to at
-// least `lanes` lanes (Flow.Vector grows to Lanes() before indexing).
-func setLaneVec(b *avec, i, lanes, cap int, v aval) *avec {
-	n := lanes
-	if b != nil && b.n > n {
-		n = b.n
-	}
-	if i >= n {
-		n = i + 1
-	}
-	grown := viewVec(b, n, cap)
-	if !v.ok || grown.kind == cvUnk {
-		// Unknown lanes poison the whole register conservatively.
-		return unkVec(n)
-	}
-	if grown.kind == cvConc {
-		if grown.vals[i] == v.v {
-			return grown
-		}
-		out := append([]int64(nil), grown.vals...)
-		out[i] = v.v
-		return concVec(out)
-	}
-	if grown.lane(i) == v {
-		return grown
-	}
-	vals := grown.materialize(cap)
-	if vals == nil {
-		return unkVec(n)
-	}
-	out := append([]int64(nil), vals...)
-	out[i] = v.v
-	return concVec(out)
-}
-
-// aluEval mirrors the engine's scalar ALU exactly (internal/machine/ops.go).
-func aluEval(op isa.Op, a, b int64) int64 {
-	switch op {
-	case isa.ADD:
-		return a + b
-	case isa.SUB:
-		return a - b
-	case isa.MUL:
-		return a * b
-	case isa.DIV:
-		if b == 0 {
-			return 0
-		}
-		return a / b
-	case isa.MOD:
-		if b == 0 {
-			return 0
-		}
-		return a % b
-	case isa.AND:
-		return a & b
-	case isa.OR:
-		return a | b
-	case isa.XOR:
-		return a ^ b
-	case isa.SHL:
-		return a << clampShift(b)
-	case isa.SHR:
-		return a >> clampShift(b)
-	case isa.MIN:
-		if a < b {
-			return a
-		}
-		return b
-	case isa.MAX:
-		if a > b {
-			return a
-		}
-		return b
-	case isa.SEQ:
-		return b2i(a == b)
-	case isa.SNE:
-		return b2i(a != b)
-	case isa.SLT:
-		return b2i(a < b)
-	case isa.SLE:
-		return b2i(a <= b)
-	case isa.SGT:
-		return b2i(a > b)
-	case isa.SGE:
-		return b2i(a >= b)
-	}
-	return 0
-}
-
-// aluVec applies a binary ALU op lane-wise over two equal-length views.
+// alu applies a binary ALU op lane-wise over two equal-length views.
 // Affine closed forms are used where they are exact under wraparound;
-// everything else materializes below the cap and degrades to unknown above.
-func aluVec(op isa.Op, a, b *avec, cap int) *avec {
+// everything else is computed lane by lane below the cap and degrades to
+// unknown above.
+func (ar *vecArena) alu(op isa.Op, a, b avec) avec {
 	n := a.n
 	if a.kind == cvUni && b.kind == cvUni {
-		return uniVec(n, aluEval(op, a.base, b.base))
+		return uniVec(n, isa.Eval(op, a.base, b.base))
 	}
-	if a.kind != cvUnk && b.kind != cvUnk && a.kind != cvConc && b.kind != cvConc {
-		// Both uni/aff: treat uni as stride 0.
+	if a.kind <= cvAff && b.kind <= cvAff {
+		// Both uni/aff: uni has stride 0.
 		ab, as := a.base, a.stride
-		if a.kind == cvUni {
-			as = 0
-		}
 		bb, bs := b.base, b.stride
-		if b.kind == cvUni {
-			bs = 0
-		}
 		switch op {
 		case isa.ADD:
 			return affVec(n, ab+bb, as+bs)
@@ -306,24 +182,34 @@ func aluVec(op isa.Op, a, b *avec, cap int) *avec {
 			}
 		case isa.SHL:
 			if bs == 0 {
-				s := clampShift(bb)
+				s := isa.ClampShift(bb)
 				return affVec(n, ab<<s, as<<s)
 			}
 		}
 	}
-	av, bv := a.materialize(cap), b.materialize(cap)
-	if av == nil || bv == nil {
+	if !a.concrete(ar.cap) || !b.concrete(ar.cap) {
 		return unkVec(n)
 	}
-	out := make([]int64, n)
-	for i := range out {
-		out[i] = aluEval(op, av[i], bv[i])
+	out := ar.alloc(n)
+	switch {
+	case a.kind == cvConc && b.kind == cvConc:
+		for i, x := range a.vals {
+			out[i] = isa.Eval(op, x, b.vals[i])
+		}
+	case a.kind == cvConc && b.kind == cvUni:
+		for i, x := range a.vals {
+			out[i] = isa.Eval(op, x, b.base)
+		}
+	default:
+		for i := range out {
+			out[i] = isa.Eval(op, a.at(i), b.at(i))
+		}
 	}
 	return concVec(out)
 }
 
-// unaryVec applies MOV/NEG/NOT lane-wise.
-func unaryVec(op isa.Op, a *avec, cap int) *avec {
+// unary applies MOV/NEG/NOT lane-wise.
+func (ar *vecArena) unary(op isa.Op, a avec) avec {
 	switch a.kind {
 	case cvUni:
 		switch op {
@@ -347,7 +233,7 @@ func unaryVec(op isa.Op, a *avec, cap int) *avec {
 		if op == isa.MOV {
 			return a
 		}
-		out := make([]int64, a.n)
+		out := ar.alloc(a.n)
 		for i, v := range a.vals {
 			if op == isa.NEG {
 				out[i] = -v
@@ -360,8 +246,8 @@ func unaryVec(op isa.Op, a *avec, cap int) *avec {
 	return unkVec(a.n)
 }
 
-// selVec is the lane-wise SEL (cond ? then : else).
-func selVec(cond, then, els *avec, cap int) *avec {
+// sel is the lane-wise SEL (cond ? then : else).
+func (ar *vecArena) sel(cond, then, els avec) avec {
 	n := cond.n
 	if cond.kind == cvUni {
 		if cond.base != 0 {
@@ -369,16 +255,15 @@ func selVec(cond, then, els *avec, cap int) *avec {
 		}
 		return els
 	}
-	cv, tv, ev := cond.materialize(cap), then.materialize(cap), els.materialize(cap)
-	if cv == nil || tv == nil || ev == nil {
+	if !cond.concrete(ar.cap) || !then.concrete(ar.cap) || !els.concrete(ar.cap) {
 		return unkVec(n)
 	}
-	out := make([]int64, n)
+	out := ar.alloc(n)
 	for i := range out {
-		if cv[i] != 0 {
-			out[i] = tv[i]
+		if cond.at(i) != 0 {
+			out[i] = then.at(i)
 		} else {
-			out[i] = ev[i]
+			out[i] = els.at(i)
 		}
 	}
 	return concVec(out)
@@ -420,7 +305,7 @@ func mulNoWrap(a, b int64) (int64, bool) {
 
 // reduceVec folds a view under one of the combining operators exactly as
 // execAtomic does (identity-seeded left fold with multiop.Apply).
-func reduceVec(kind isa.Op, v *avec, cap int) aval {
+func reduceVec(kind isa.Op, v avec, cap int) aval {
 	n := v.n
 	if n == 0 {
 		return known(multiop.Identity(kind))
@@ -452,13 +337,12 @@ func reduceVec(kind isa.Op, v *avec, cap int) aval {
 			}
 		}
 	}
-	vals := v.materialize(cap)
-	if vals == nil {
+	if !v.concrete(cap) {
 		return unknown
 	}
 	acc := multiop.Identity(kind)
-	for _, e := range vals {
-		acc = multiop.Apply(kind, acc, e)
+	for i := 0; i < n; i++ {
+		acc = multiop.Apply(kind, acc, v.at(i))
 	}
 	return known(acc)
 }

@@ -32,70 +32,6 @@ var commutative = map[isa.Op]bool{
 	isa.SEQ: true, isa.SNE: true, isa.MIN: true, isa.MAX: true,
 }
 
-// foldBin evaluates a binary operation on constants.
-func foldBin(op isa.Op, a, b int64) int64 {
-	switch op {
-	case isa.ADD:
-		return a + b
-	case isa.SUB:
-		return a - b
-	case isa.MUL:
-		return a * b
-	case isa.DIV:
-		if b == 0 {
-			return 0
-		}
-		return a / b
-	case isa.MOD:
-		if b == 0 {
-			return 0
-		}
-		return a % b
-	case isa.AND:
-		return a & b
-	case isa.OR:
-		return a | b
-	case isa.XOR:
-		return a ^ b
-	// Shifts clamp to [0,63] exactly like the machine ALU: the constant
-	// folder must not diverge from runtime semantics.
-	case isa.SHL:
-		return a << clampShift(b)
-	case isa.SHR:
-		return a >> clampShift(b)
-	case isa.SLT:
-		return b2i(a < b)
-	case isa.SLE:
-		return b2i(a <= b)
-	case isa.SGT:
-		return b2i(a > b)
-	case isa.SGE:
-		return b2i(a >= b)
-	case isa.SEQ:
-		return b2i(a == b)
-	case isa.SNE:
-		return b2i(a != b)
-	}
-	panic("codegen: foldBin on " + op.String())
-}
-
-func clampShift(b int64) uint {
-	if b < 0 {
-		return 0
-	}
-	if b > 63 {
-		return 63
-	}
-	return uint(b)
-}
-
-func b2i(b bool) int64 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
 // destFor allocates a result register of the right class: thick results use
 // the V pool, scalars the S pool.
 func (g *gen) destFor(thick bool) isa.Reg {
@@ -171,7 +107,7 @@ func (g *gen) unaryExpr(e *lang.Unary) (value, error) {
 		case lang.TokTilde:
 			return immVal(^x.imm), nil
 		case lang.TokBang:
-			return immVal(b2i(x.imm == 0)), nil
+			return immVal(isa.B2I(x.imm == 0)), nil
 		}
 	}
 	// Operand temps are consumed by the single emitted instruction (which
@@ -206,9 +142,9 @@ func (g *gen) binaryExpr(e *lang.Binary) (value, error) {
 		}
 		if x.isImm && y.isImm {
 			if e.Op == lang.TokAndAnd {
-				return immVal(b2i(x.imm != 0 && y.imm != 0)), nil
+				return immVal(isa.B2I(x.imm != 0 && y.imm != 0)), nil
 			}
-			return immVal(b2i(x.imm != 0 || y.imm != 0)), nil
+			return immVal(isa.B2I(x.imm != 0 || y.imm != 0)), nil
 		}
 		norm := func(v value) isa.Reg {
 			r := g.materialize(v)
@@ -240,7 +176,7 @@ func (g *gen) binaryExpr(e *lang.Binary) (value, error) {
 		return value{}, err
 	}
 	if x.isImm && y.isImm {
-		return immVal(foldBin(op, x.imm, y.imm)), nil
+		return immVal(isa.Eval(op, x.imm, y.imm)), nil
 	}
 	// Immediate on the right: use the immediate ALU form. Operand temps
 	// are released before allocating the destination (see unaryExpr).

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"tcfpram/internal/isa"
 	"tcfpram/internal/machine"
 	"tcfpram/internal/variant"
 )
@@ -71,7 +72,7 @@ func (e *exprNode) eval(vars []int64) int64 {
 	case "-":
 		return -e.l.eval(vars)
 	case "!":
-		return b2i(e.l.eval(vars) == 0)
+		return isa.B2I(e.l.eval(vars) == 0)
 	case "~":
 		return ^e.l.eval(vars)
 	}
@@ -118,21 +119,21 @@ func (e *exprNode) eval(vars []int64) int64 {
 		}
 		return a >> uint(s)
 	case "<":
-		return b2i(a < b)
+		return isa.B2I(a < b)
 	case "<=":
-		return b2i(a <= b)
+		return isa.B2I(a <= b)
 	case ">":
-		return b2i(a > b)
+		return isa.B2I(a > b)
 	case ">=":
-		return b2i(a >= b)
+		return isa.B2I(a >= b)
 	case "==":
-		return b2i(a == b)
+		return isa.B2I(a == b)
 	case "!=":
-		return b2i(a != b)
+		return isa.B2I(a != b)
 	case "&&":
-		return b2i(a != 0 && b != 0)
+		return isa.B2I(a != 0 && b != 0)
 	case "||":
-		return b2i(a != 0 || b != 0)
+		return isa.B2I(a != 0 || b != 0)
 	}
 	panic("bad op " + e.op)
 }

@@ -19,23 +19,6 @@ func laneVal(f *tcf.Flow, r isa.Reg, i int) int64 {
 	return v[i]
 }
 
-func clampShift(b int64) uint {
-	if b < 0 {
-		return 0
-	}
-	if b > 63 {
-		return 63
-	}
-	return uint(b)
-}
-
-func b2i(b bool) int64 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
 // aluFn returns the scalar evaluator of a binary ALU opcode, identical to
 // the interpreter's trap-free ALU: division/modulo by zero yield zero,
 // shifts clamp to [0, 63].
@@ -68,9 +51,9 @@ func aluFn(op isa.Op) func(a, b int64) int64 {
 	case isa.XOR:
 		return func(a, b int64) int64 { return a ^ b }
 	case isa.SHL:
-		return func(a, b int64) int64 { return a << clampShift(b) }
+		return func(a, b int64) int64 { return a << isa.ClampShift(b) }
 	case isa.SHR:
-		return func(a, b int64) int64 { return a >> clampShift(b) }
+		return func(a, b int64) int64 { return a >> isa.ClampShift(b) }
 	case isa.MIN:
 		return func(a, b int64) int64 {
 			if a < b {
@@ -86,17 +69,17 @@ func aluFn(op isa.Op) func(a, b int64) int64 {
 			return b
 		}
 	case isa.SEQ:
-		return func(a, b int64) int64 { return b2i(a == b) }
+		return func(a, b int64) int64 { return isa.B2I(a == b) }
 	case isa.SNE:
-		return func(a, b int64) int64 { return b2i(a != b) }
+		return func(a, b int64) int64 { return isa.B2I(a != b) }
 	case isa.SLT:
-		return func(a, b int64) int64 { return b2i(a < b) }
+		return func(a, b int64) int64 { return isa.B2I(a < b) }
 	case isa.SLE:
-		return func(a, b int64) int64 { return b2i(a <= b) }
+		return func(a, b int64) int64 { return isa.B2I(a <= b) }
 	case isa.SGT:
-		return func(a, b int64) int64 { return b2i(a > b) }
+		return func(a, b int64) int64 { return isa.B2I(a > b) }
 	case isa.SGE:
-		return func(a, b int64) int64 { return b2i(a >= b) }
+		return func(a, b int64) int64 { return isa.B2I(a >= b) }
 	}
 	return nil
 }

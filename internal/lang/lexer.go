@@ -9,7 +9,9 @@ import (
 // Lex tokenizes tcf-e source. Comments: // to end of line and /* ... */.
 func Lex(src string) ([]Token, error) {
 	l := &lexer{src: src, line: 1, col: 1}
-	var toks []Token
+	// Source runs at 0.2-0.65 tokens per byte (inline initializers are the
+	// densest), so half the length avoids most regrowth of a large slice.
+	toks := make([]Token, 0, len(src)/2+1)
 	for {
 		tok, err := l.next()
 		if err != nil {

@@ -11,79 +11,6 @@ import (
 	"tcfpram/internal/tcf"
 )
 
-// aluEval computes a binary ALU operation. Division and modulo by zero yield
-// zero (the simulated ALU is trap-free). Shifts clamp to [0,63].
-func aluEval(op isa.Op, a, b int64) int64 {
-	switch op {
-	case isa.ADD:
-		return a + b
-	case isa.SUB:
-		return a - b
-	case isa.MUL:
-		return a * b
-	case isa.DIV:
-		if b == 0 {
-			return 0
-		}
-		return a / b
-	case isa.MOD:
-		if b == 0 {
-			return 0
-		}
-		return a % b
-	case isa.AND:
-		return a & b
-	case isa.OR:
-		return a | b
-	case isa.XOR:
-		return a ^ b
-	case isa.SHL:
-		return a << clampShift(b)
-	case isa.SHR:
-		return a >> clampShift(b)
-	case isa.MIN:
-		if a < b {
-			return a
-		}
-		return b
-	case isa.MAX:
-		if a > b {
-			return a
-		}
-		return b
-	case isa.SEQ:
-		return b2i(a == b)
-	case isa.SNE:
-		return b2i(a != b)
-	case isa.SLT:
-		return b2i(a < b)
-	case isa.SLE:
-		return b2i(a <= b)
-	case isa.SGT:
-		return b2i(a > b)
-	case isa.SGE:
-		return b2i(a >= b)
-	}
-	panic(fmt.Sprintf("machine: aluEval on %s", op))
-}
-
-func clampShift(b int64) uint {
-	if b < 0 {
-		return 0
-	}
-	if b > 63 {
-		return 63
-	}
-	return uint(b)
-}
-
-func b2i(b bool) int64 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
 // isThick reports whether the instruction executes one operation per lane of
 // the flow (as opposed to a single flow-level operation). Thickness is an
 // instruction property — the flow argument is kept for call-site symmetry;
@@ -449,7 +376,7 @@ func (x *groupExec) execLane(f *tcf.Flow, in isa.Instr, i, seq int) {
 		if !in.HasImm {
 			b = laneVal(f, in.Rb, i)
 		}
-		f.SetLane(in.Rd, i, aluEval(in.Op, laneVal(f, in.Ra, i), b))
+		f.SetLane(in.Rd, i, isa.Eval(in.Op, laneVal(f, in.Ra, i), b))
 	case in.Op == isa.SEL:
 		v := laneVal(f, in.Rc, i)
 		if laneVal(f, in.Ra, i) != 0 {
@@ -570,18 +497,18 @@ func (x *groupExec) execLaneRangeInterp(f *tcf.Flow, in isa.Instr, first, n int)
 		switch {
 		case av != nil && bv != nil:
 			for i := first; i < end; i++ {
-				dst[i] = aluEval(op, av[i], bv[i])
+				dst[i] = isa.Eval(op, av[i], bv[i])
 			}
 		case av != nil:
 			for i := first; i < end; i++ {
-				dst[i] = aluEval(op, av[i], bs)
+				dst[i] = isa.Eval(op, av[i], bs)
 			}
 		case bv != nil:
 			for i := first; i < end; i++ {
-				dst[i] = aluEval(op, as, bv[i])
+				dst[i] = isa.Eval(op, as, bv[i])
 			}
 		default:
-			v := aluEval(op, as, bs)
+			v := isa.Eval(op, as, bs)
 			for i := first; i < end; i++ {
 				dst[i] = v
 			}

@@ -103,15 +103,16 @@ func (c Conflict) String() string {
 	return fmt.Sprintf("common-CRCW conflict at %d: %d vs %d", c.Addr, c.A, c.B)
 }
 
-// pageWords is the granularity of the lazily allocated backing store: pages
-// materialize on first write (or preload), so a machine whose program touches
-// a few hundred words never pays for zeroing the whole address space. 1024
-// words = 8 KiB per page, small enough to stay in the allocator's size
-// classes (32 KiB pages fell into the large-object path, whose span setup
-// dominated short-lived machines).
+// PageShift sets the granularity of the lazily allocated backing store:
+// pages of pageWords words materialize on first write (or preload), so a
+// machine whose program touches a few hundred words never pays for zeroing
+// the whole address space. 1024 words = 8 KiB per page, small enough to
+// stay in the allocator's size classes (32 KiB pages fell into the
+// large-object path, whose span setup dominated short-lived machines). The
+// cost analyzer's footprint and abstract memory are paged by it too.
 const (
-	pageShift = 10
-	pageWords = 1 << pageShift
+	PageShift = 10
+	pageWords = 1 << PageShift
 )
 
 // applyParallelMin is the buffered-write count below which ApplyStep resolves
@@ -288,15 +289,15 @@ func (s *Shared) page(addr int64) []int64 {
 	if s.pages == nil {
 		return nil
 	}
-	return s.pages[addr>>pageShift]
+	return s.pages[addr>>PageShift]
 }
 
 // ensurePage materializes the page backing addr and returns it.
 func (s *Shared) ensurePage(addr int64) []int64 {
 	if s.pages == nil {
-		s.pages = make([][]int64, (s.size+pageWords-1)>>pageShift)
+		s.pages = make([][]int64, (s.size+pageWords-1)>>PageShift)
 	}
-	i := addr >> pageShift
+	i := addr >> PageShift
 	p := s.pages[i]
 	if p == nil {
 		p = make([]int64, pageWords)
@@ -342,7 +343,7 @@ func (r *Reader) Peek(addr int64) int64 {
 	if !r.s.InRange(addr) {
 		return 0
 	}
-	if idx := addr >> pageShift; idx != r.pgIdx {
+	if idx := addr >> PageShift; idx != r.pgIdx {
 		r.pgIdx, r.pg = idx, nil
 		if r.s.pages != nil {
 			r.pg = r.s.pages[idx]
@@ -548,7 +549,7 @@ func (s *Shared) applyShard(ws []Write) (conflicts []Conflict, done int64) {
 		// Lowest key wins (deterministic Arbitrary; exact Priority). The
 		// address order makes the page change rarely; cache it.
 		a := ws[i].Addr
-		if idx := a >> pageShift; idx != pgIdx {
+		if idx := a >> PageShift; idx != pgIdx {
 			pgIdx, pg = idx, s.ensurePage(a)
 		}
 		pg[a&(pageWords-1)] = ws[i].Val

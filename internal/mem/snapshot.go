@@ -91,7 +91,7 @@ func (s *Shared) DecodeFrom(d *checkpoint.Decoder) error {
 	}
 	// The page table is lazily materialized, so validate against the
 	// address-space capacity, not the (possibly still nil) table.
-	nPages := int((s.size + pageWords - 1) >> pageShift)
+	nPages := int((s.size + pageWords - 1) >> PageShift)
 	if n < 0 || n > nPages {
 		return fmt.Errorf("mem: snapshot page count %d outside [0,%d]", n, nPages)
 	}

@@ -9,6 +9,7 @@ package sema
 import (
 	"fmt"
 
+	"tcfpram/internal/isa"
 	"tcfpram/internal/lang"
 )
 
@@ -299,22 +300,12 @@ func constFold(e lang.Expr) (int64, bool) {
 			return a % b, true
 		// Shifts clamp to [0,63], matching the machine ALU.
 		case lang.TokShl:
-			return a << clampShift(b), true
+			return a << isa.ClampShift(b), true
 		case lang.TokShr:
-			return a >> clampShift(b), true
+			return a >> isa.ClampShift(b), true
 		}
 	}
 	return 0, false
-}
-
-func clampShift(b int64) uint {
-	if b < 0 {
-		return 0
-	}
-	if b > 63 {
-		return 63
-	}
-	return uint(b)
 }
 
 func (c *checker) funcsPass() error {
